@@ -110,19 +110,22 @@ def build_assignment_qubo(s, c: float) -> tuple[QuboProblem, float]:
         raise ValueError(f"penalty weight must be non-negative, got {c}")
     n_t, n_d = s.shape
     n = n_t * n_d
-    q = np.diag(-s.ravel())
-    same_column = np.kron(np.ones((n_t, n_t)) - np.eye(n_t), np.eye(n_d))
-    same_row = np.kron(np.eye(n_t), np.ones((n_d, n_d)) - np.eye(n_d))
+    # pairs (t, d) and (t', d') are penalized together when they share exactly
+    # one index: the same tracker or the same detection
+    same_t = np.eye(n_t, dtype=bool)[:, None, :, None]
+    same_d = np.eye(n_d, dtype=bool)[None, :, None, :]
+    q = np.multiply(c, (same_t != same_d).reshape(n, n), dtype=np.float64)
+    # adding the penalties' zero diagonal turns a -0.0 similarity term into 0.0
+    diagonal = -s.ravel() + 0.0
     dropped = 0.0
-    q += c * same_column
     if n_t >= n_d:
         # squared equality per detection: linear part -c, constant +c each
-        q -= c * np.eye(n)
+        diagonal -= c
         dropped += c * n_d
-    q += c * same_row
     if n_t <= n_d:
-        q -= c * np.eye(n)
+        diagonal -= c
         dropped += c * n_t
+    np.fill_diagonal(q, diagonal)
     return QuboProblem(q), dropped
 
 

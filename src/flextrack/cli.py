@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import __version__
 from .assign import AssignmentResult
-from .ising import brute_force_qubo, read_qubo_file
+from .ising import BRUTE_FORCE_MAX_VARS, brute_force_qubo, read_qubo_file
 from .sb import SbParams, solve_qubo
 from .scenario import (
     GroundTruth,
@@ -41,6 +41,7 @@ from .track import (
     MultiObjectTracker,
     TrackConfig,
     make_baseline_assigner,
+    make_flexible_assigner,
 )
 
 USAGE_ERROR = 1
@@ -148,6 +149,20 @@ def _detections_by_frame(records) -> dict[int, list[Detection]]:
     return out
 
 
+class _TimedAssigner:
+    """An assigner that keeps the wall time of its latest call in ``seconds``."""
+
+    def __init__(self, assigner):
+        self.assigner = assigner
+        self.seconds = 0.0
+
+    def __call__(self, s):
+        t0 = time.perf_counter()
+        result = self.assigner(s)
+        self.seconds = time.perf_counter() - t0
+        return result
+
+
 def cmd_track(args) -> int:
     records = read_mot_file(args.detections)
     cfg = read_config(args.config) if args.config else TrackConfig()
@@ -156,7 +171,8 @@ def cmd_track(args) -> int:
     by_frame = _detections_by_frame(records)
     out_records: list[MotRecord] = []
     diag_rows: list[str] = []
-    assigner = make_baseline_assigner(cfg) if args.baseline else None
+    make_assigner = make_baseline_assigner if args.baseline else make_flexible_assigner
+    assigner = _TimedAssigner(make_assigner(cfg))
     tracker = MultiObjectTracker(cfg, assigner=assigner)
     if by_frame:
         first, last = min(by_frame), max(by_frame)
@@ -164,9 +180,9 @@ def cmd_track(args) -> int:
             detections = [
                 d for d in by_frame.get(frame, []) if d.confidence >= args.min_confidence
             ]
-            t0 = time.perf_counter()
+            # frames without trackers or without detections never call the assigner
+            assigner.seconds = 0.0
             result: AssignmentResult = tracker.step(detections)
-            elapsed = time.perf_counter() - t0
             for t in sorted(tracker.trackers, key=lambda t: t.id):
                 box = t.box
                 out_records.append(
@@ -175,7 +191,7 @@ def cmd_track(args) -> int:
             diag_rows.append(
                 f"{frame},{len(result.decisions)},{len(detections)},"
                 f"{result.energy_large:.9g},{result.energy_small:.9g},"
-                f"{result.repairs},{elapsed:.6f}"
+                f"{result.repairs},{assigner.seconds:.6f}"
             )
     write_mot_file(args.output, out_records)
     with open(args.output + ".diag.csv", "w", encoding="utf-8") as fh:
@@ -243,15 +259,15 @@ def cmd_eval(args) -> int:
 
 def cmd_solve_qubo(args) -> int:
     problem = read_qubo_file(args.qubo)
-    params = SbParams(
-        a0=args.a0, c0=args.c0, eta=args.eta, dt=args.dt,
-        n_steps=args.n_steps, seed=args.seed, restarts=args.restarts,
-    )
+    params = SbParams(**{name: getattr(args, name) for name in _SB_KEYS})
     bits, energy = solve_qubo(problem, params)
     print(f"bits={''.join(str(b) for b in bits)} energy={energy:g}")
     if args.oracle:
-        if problem.n > 20:
-            print("error: --oracle supports at most 20 variables", file=sys.stderr)
+        if problem.n > BRUTE_FORCE_MAX_VARS:
+            print(
+                f"error: --oracle supports at most {BRUTE_FORCE_MAX_VARS} variables",
+                file=sys.stderr,
+            )
             return USAGE_ERROR
         oracle_bits, oracle_energy = brute_force_qubo(problem)
         print(
@@ -302,14 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-qubo", help="solve a QUBO text file")
     p.add_argument("qubo", help="QUBO text file: first line n, then 'i j value' lines")
     p.add_argument("--oracle", action="store_true",
-                   help="also print the brute-force optimum (n <= 20)")
-    p.add_argument("--a0", type=float, default=1.0)
-    p.add_argument("--c0", type=float, default=0.8)
-    p.add_argument("--eta", type=float, default=0.8)
-    p.add_argument("--dt", type=float, default=0.3)
-    p.add_argument("--n-steps", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=1)
+                   help=f"also print the brute-force optimum (n <= {BRUTE_FORCE_MAX_VARS})")
+    for f in fields(SbParams):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
+                       help=f"solver parameter (default {f.default})")
     p.set_defaults(func=cmd_solve_qubo)
     return parser
 

@@ -17,6 +17,37 @@ spins by sign (with sign(0) taken as +1).
 Initialization: positions start at zero and momenta are drawn uniformly from
 ``[-init_noise, +init_noise]`` with numpy's default generator seeded from
 ``SbParams.seed``, so a solve is fully deterministic for a fixed seed.
+
+:func:`sb_step` is the one-step reference. :func:`solve_ising` runs each
+trajectory as one fused loop over in-place ``x`` and ``y`` arrays: no state
+object per step, the ramp evaluated once per step index before the loop, and
+``eta * h`` computed once. It performs the reference's floating-point
+operations in the same order, so with a dense coupling its spins are
+bit-identical to iterating :func:`sb_step`.
+
+The coupling product ``J @ x`` dominates a step at large ``n`` (Goto,
+Tatsumura & Dixon, Sci. Adv. 5:eaav2372, 2019). The assignment coupling has
+only ``n_t + n_d - 2`` nonzeros per row, so when ``J`` has more than 2**17
+entries (``n > 362``) and at most one in eight of them is nonzero, the solve
+multiplies by a ``scipy.sparse`` CSR copy built once per solve; otherwise it
+keeps the dense BLAS product. Measured per product with one BLAS thread on a
+two-core Xeon host (assignment couplings, square ``m x m`` grids):
+
+    m    n      dense     CSR
+    5    25     1.8 us    5.5 us
+    15   225    9.3 us    10.9 us
+    19   361    23 us     16 us
+    24   576    96 us     18 us
+    32   1024   360 us    38 us
+
+Whole 200-step solves were within 10 % of each other at 19 x 19, and the CSR
+solve was 2x faster at 24 x 24. With random sparsity patterns CSR lost to
+dense above a fill of about 1/8 at ``n = 400`` and about 1/4 at ``n = 1024``.
+CSR sums a row in another order than BLAS, so its trajectories differ from the
+dense ones in the last bits. An exactly symmetric product (the assignment
+coupling's closed form from row and column sums) is deliberately not used: it
+keeps tied spins (equal similarities, such as zero-IOU pairs) in step through
+the wall, and strict tables came out one-to-one less often.
 """
 
 from __future__ import annotations
@@ -24,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .ising import IsingProblem, QuboProblem, ising_energy, qubo_energy, qubo_to_ising, spins_to_bits
 
@@ -50,6 +82,11 @@ class SbParams:
             raise ValueError("restarts must be at least 1")
         if self.init_noise < 0:
             raise ValueError("init_noise must be non-negative")
+
+
+# thresholds of the product rule in _coupling; 2**17 entries are 1 MiB of float64
+_DENSE_MAX_ENTRIES = 1 << 17
+_CSR_MAX_FILL = 8
 
 
 @dataclass(frozen=True)
@@ -93,21 +130,55 @@ def _digitize(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1, -1).astype(np.int64)
 
 
+def _coupling(j: np.ndarray):
+    """``j`` itself, or a CSR copy of it when the sparse product is cheaper.
+
+    The rule reads only the size and the nonzero count of ``j``: CSR when
+    ``j`` has more than ``_DENSE_MAX_ENTRIES`` entries and at most one in
+    ``_CSR_MAX_FILL`` of them is nonzero. Smaller problems skip the count.
+    """
+    n = j.shape[0]
+    if n * n <= _DENSE_MAX_ENTRIES:
+        return j
+    if _CSR_MAX_FILL * np.count_nonzero(j) <= n * n:
+        return sparse.csr_array(j)
+    return j
+
+
 def solve_ising(p: IsingProblem, params: SbParams = SbParams(), ramp=linear_ramp) -> np.ndarray:
     """Run the solver and return a +/-1 spin vector.
 
     With ``restarts > 1``, runs that many independent trajectories (drawing all
     initial momenta from one seeded generator) and keeps the lowest-energy
     digitized result, preferring the earliest run on ties.
+
+    Each trajectory runs as the fused loop described in the module docstring.
     """
     rng = np.random.default_rng(params.seed)
+    a0, c0, dt = params.a0, params.c0, params.dt
+    coupling = _coupling(p.j)
+    detuning = [-(a0 - ramp(k, params)) for k in range(params.n_steps)]
+    eta_h = params.eta * p.h
     best_spins = None
     best_energy = np.inf
     for _ in range(params.restarts):
         state = initial_state(p.n, rng, params.init_noise)
-        for _ in range(params.n_steps):
-            state = sb_step(state, p, params, ramp)
-        spins = _digitize(state.x)
+        x, y = state.x, state.y
+        for neg_detune in detuning:
+            force = coupling @ x
+            force *= c0
+            kick = neg_detune * x
+            kick -= eta_h
+            kick += force
+            kick *= dt
+            y += kick
+            drift = a0 * y
+            drift *= dt
+            x += drift
+            over = np.abs(x) > 1.0
+            np.copysign(1.0, x, out=x, where=over)
+            y[over] = 0.0
+        spins = _digitize(x)
         energy = ising_energy(p, spins)
         if energy < best_energy:
             best_energy = energy

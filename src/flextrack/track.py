@@ -148,10 +148,15 @@ def new_tracker(detection: Detection, tracker_id: int) -> Tracker:
 
 
 def predict(tracker: Tracker) -> Tracker:
-    """Constant-velocity Kalman prediction; increments age. Mutates in place."""
+    """Constant-velocity Kalman prediction; increments age. Mutates in place.
+
+    As in SORT, an area velocity that would take the area to zero or below is
+    dropped first, so a shrinking box stops shrinking instead of collapsing.
+    """
+    if tracker.x[2] + tracker.x[6] <= 0:
+        tracker.x[6] = 0.0
     tracker.x = KF_F @ tracker.x
     tracker.cov = KF_F @ tracker.cov @ KF_F.T + KF_Q
-    tracker.x[2] = max(tracker.x[2], MIN_AREA)
     tracker.x[3] = max(tracker.x[3], MIN_AREA)
     tracker.age += 1
     return tracker

@@ -14,7 +14,7 @@ from flextrack.assign import (
     hungarian_assign,
     repair_table,
 )
-from flextrack.ising import brute_force_qubo, qubo_energy
+from flextrack.ising import QuboProblem, brute_force_qubo, qubo_energy
 
 
 def direct_cost(s, table, c):
@@ -36,6 +36,26 @@ def direct_cost(s, table, c):
 def all_tables(n_t, n_d):
     for flat in itertools.product((0, 1), repeat=n_t * n_d):
         yield np.array(flat).reshape(n_t, n_d)
+
+
+def kron_qubo(s, c):
+    """The assignment QUBO assembled from Kronecker products: the builder's oracle."""
+    s = np.asarray(s, dtype=np.float64)
+    n_t, n_d = s.shape
+    n = n_t * n_d
+    q = np.diag(-s.ravel())
+    same_column = np.kron(np.ones((n_t, n_t)) - np.eye(n_t), np.eye(n_d))
+    same_row = np.kron(np.eye(n_t), np.ones((n_d, n_d)) - np.eye(n_d))
+    dropped = 0.0
+    q += c * same_column
+    if n_t >= n_d:
+        q -= c * np.eye(n)
+        dropped += c * n_d
+    q += c * same_row
+    if n_t <= n_d:
+        q -= c * np.eye(n)
+        dropped += c * n_t
+    return q, dropped
 
 
 def brute_solver(problem):
@@ -80,6 +100,17 @@ class TestBuildAssignmentQubo:
             expected, _ = direct_cost(s, table, c)
             got = qubo_energy(problem, table.ravel()) + dropped
             assert got == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("n_t,n_d", [(1, 1), (1, 5), (5, 1), (3, 7), (7, 3), (24, 24)])
+    @pytest.mark.parametrize("c", [0.0, 0.1, 1.0])
+    def test_bit_identical_to_kron_formula(self, n_t, n_d, c):
+        # zero similarities included: the sign of a zero diagonal entry must match too
+        rng = np.random.default_rng(n_t * 100 + n_d)
+        s = np.where(rng.uniform(size=(n_t, n_d)) < 0.5, rng.uniform(size=(n_t, n_d)), 0.0)
+        problem, dropped = build_assignment_qubo(s, c)
+        q, oracle_dropped = kron_qubo(s, c)
+        assert problem.q.tobytes() == QuboProblem(q).q.tobytes()
+        assert dropped == oracle_dropped
 
     @pytest.mark.parametrize("n_t,n_d", [(2, 2), (3, 2), (2, 3)])
     def test_penalty_zero_iff_feasible(self, n_t, n_d):

@@ -1,8 +1,11 @@
 """CLI subcommands, file formats, exit codes."""
 
+import time
+
 import numpy as np
 import pytest
 
+from flextrack import track
 from flextrack.cli import (
     MotRecord,
     format_mot_record,
@@ -12,6 +15,7 @@ from flextrack.cli import (
     read_mot_file,
     write_mot_file,
 )
+from flextrack.ising import BRUTE_FORCE_MAX_VARS
 from flextrack.track import TrackConfig
 
 
@@ -104,8 +108,25 @@ class TestSolveQubo:
         assert hits >= 18
 
     def test_oracle_size_limit(self, tmp_path, capsys):
-        qubo = write(tmp_path / "q.txt", "21\n")
+        qubo = write(tmp_path / "q.txt", f"{BRUTE_FORCE_MAX_VARS + 1}\n")
         assert main(["solve-qubo", qubo, "--oracle"]) == 1
+        assert f"at most {BRUTE_FORCE_MAX_VARS} variables" in capsys.readouterr().err
+
+    def test_oracle_above_twenty_variables(self, tmp_path, capsys):
+        lines = ["21"] + [f"{i} {i} -1" for i in range(21)]
+        qubo = write(tmp_path / "q.txt", "\n".join(lines) + "\n")
+        assert main(["solve-qubo", qubo, "--oracle"]) == 0
+        assert f"oracle_bits={'1' * 21} oracle_energy=-21" in capsys.readouterr().out
+
+    def test_init_noise(self, tmp_path, capsys):
+        # zero biases and antiferromagnetic coupling: without momentum noise the
+        # oscillators never leave x = 0 and digitize to the symmetric 11
+        qubo = write(tmp_path / "q.txt", "2\n0 0 -1\n1 1 -1\n0 1 2\n")
+        assert main(["solve-qubo", qubo, "--init-noise", "0"]) == 0
+        assert "bits=11 energy=0" in capsys.readouterr().out
+        assert main(["solve-qubo", qubo]) == 0
+        assert "energy=-1" in capsys.readouterr().out
+        assert main(["solve-qubo", qubo, "--init-noise", "-1"]) == 2
 
     def test_bad_file_is_data_error(self, tmp_path, capsys):
         qubo = write(tmp_path / "q.txt", "2\n0 zzz 1\n")
@@ -186,6 +207,28 @@ class TestTrack:
         diag = open(out + ".diag.csv").read().splitlines()
         assert diag[0] == "frame,n_trackers,n_detections,energy_large,energy_small,repairs,solve_time_s"
         assert len(diag) == 2 and diag[1].startswith("1,0,1,")
+
+    def test_solve_time_excludes_similarity(self, tmp_path, monkeypatch):
+        # the solve_time_s column times the assigner alone, not the IOU and
+        # Kalman work around it in the tracking step
+        delay = 0.05
+        similarity = track.similarity_matrix
+
+        def slow_similarity(trackers, detections):
+            time.sleep(delay)
+            return similarity(trackers, detections)
+
+        monkeypatch.setattr(track, "similarity_matrix", slow_similarity)
+        rows = "".join(f"{f},-1,10,20,30,40,1,-1,-1,-1\n" for f in range(1, 5))
+        det = write(tmp_path / "det.txt", rows)
+        out = str(tmp_path / "res.txt")
+        for extra in ([], ["--baseline"]):
+            assert main(["track", det, "-o", out] + extra) == 0
+            diag = open(out + ".diag.csv").read().splitlines()[1:]
+            assert len(diag) == 4
+            times = [float(row.split(",")[-1]) for row in diag]
+            assert times[0] == 0.0  # no trackers yet: nothing to assign
+            assert all(0.0 < t < delay for t in times[1:])
 
     def test_unknown_config_key(self, tmp_path, capsys):
         det = write(tmp_path / "det.txt", "1,-1,10,20,30,40,1,-1,-1,-1\n")

@@ -2,14 +2,96 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment
 
-from flextrack.assign import build_assignment_qubo
-from flextrack.ising import IsingProblem, QuboProblem, brute_force_qubo, ising_energy
-from flextrack.sb import SbParams, SbState, sb_step, solve_ising, solve_qubo
+from flextrack import sb
+from flextrack.assign import build_assignment_qubo, repair_table
+from flextrack.ising import (
+    IsingProblem,
+    QuboProblem,
+    brute_force_qubo,
+    ising_energy,
+    qubo_to_ising,
+)
+from flextrack.sb import (
+    SbParams,
+    SbState,
+    initial_state,
+    linear_ramp,
+    sb_step,
+    solve_ising,
+    solve_qubo,
+)
 
 
 def zero_problem(n):
     return IsingProblem(j=np.zeros((n, n)), h=np.zeros(n))
+
+
+def random_problem(n, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1, 1, size=(n, n))
+    j = (raw + raw.T) / 2
+    np.fill_diagonal(j, 0.0)
+    return IsingProblem(j=j, h=rng.uniform(-1, 1, size=n))
+
+
+def sb_step_loop(p, params, ramp=linear_ramp):
+    """``solve_ising`` written as a loop of ``sb_step`` calls: the fused loop's reference.
+
+    Returns the spins and the final positions of every restart.
+    """
+    rng = np.random.default_rng(params.seed)
+    best_spins, best_energy = None, np.inf
+    positions = []
+    for _ in range(params.restarts):
+        state = initial_state(p.n, rng, params.init_noise)
+        for _ in range(params.n_steps):
+            state = sb_step(state, p, params, ramp)
+        positions.append(state.x)
+        spins = np.where(state.x >= 0.0, 1, -1)
+        energy = ising_energy(p, spins)
+        if energy < best_energy:
+            best_spins, best_energy = spins, energy
+    return best_spins, positions
+
+
+def fused_loop(p, params, ramp=linear_ramp):
+    """``solve_ising``'s spins and the final positions of every restart."""
+    positions = []
+    digitize = sb._digitize
+
+    def recording_digitize(x):
+        positions.append(x.copy())
+        return digitize(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb, "_digitize", recording_digitize)
+        spins = solve_ising(p, params, ramp)
+    return spins, positions
+
+
+def assert_same_run(fused, reference):
+    assert np.array_equal(fused[0], reference[0])
+    assert [x.tobytes() for x in fused[1]] == [x.tobytes() for x in reference[1]]
+
+
+def sparse_similarity(n, density, seed):
+    """An n x n IOU-like matrix: a fraction ``density`` of pairs overlap, the rest are 0."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.uniform(size=(n, n)) < density, rng.uniform(0.05, 0.95, (n, n)), 0.0)
+
+
+def strict_outcomes(s, params, coupling):
+    """(repair-free, optimal after repair) for the strict SB table under ``coupling``."""
+    problem, _ = build_assignment_qubo(s, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb, "_coupling", coupling)
+        bits, _ = solve_qubo(problem, params)
+    table, repairs = repair_table(bits.reshape(s.shape), s)
+    rows, cols = linear_sum_assignment(s, maximize=True)
+    return repairs == 0, (s * table).sum() >= s[rows, cols].sum() - 1e-9
 
 
 class TestSbStep:
@@ -126,3 +208,85 @@ class TestSolveQubo:
             SbParams(n_steps=0)
         with pytest.raises(ValueError):
             SbParams(restarts=0)
+
+
+class TestFusedLoop:
+    @pytest.mark.parametrize(
+        "n,params",
+        [
+            (1, SbParams(seed=1)),
+            (6, SbParams(seed=6, restarts=3, n_steps=150)),
+            (12, SbParams(seed=12, a0=0.7, c0=0.5, eta=1.3, dt=0.35, init_noise=0.3)),
+            (30, SbParams(seed=30, restarts=2, n_steps=150)),
+            # short runs end with positions off the wall, where rounding shows
+            (12, SbParams(seed=4, a0=0.7, c0=0.5, eta=1.3, dt=0.35, n_steps=30)),
+            (30, SbParams(seed=7, restarts=2, n_steps=20)),
+        ],
+    )
+    def test_bit_identical_to_sb_step_loop(self, n, params):
+        p = random_problem(n, seed=n)
+        assert_same_run(fused_loop(p, params), sb_step_loop(p, params))
+
+    def test_bit_identical_with_custom_ramp(self):
+        def quadratic(k, params):
+            return params.a0 * (k / params.n_steps) ** 2
+
+        p = random_problem(16, seed=3)
+        params = SbParams(seed=3, restarts=2, a0=1.2, n_steps=40)
+        assert_same_run(fused_loop(p, params, quadratic), sb_step_loop(p, params, quadratic))
+
+    @pytest.mark.parametrize("c", [0.1, 1.0])
+    def test_bit_identical_on_dense_assignment_coupling(self, c):
+        s = sparse_similarity(12, 0.2, seed=12)
+        p = qubo_to_ising(build_assignment_qubo(s, c)[0])
+        params = SbParams(seed=5, restarts=2, n_steps=60)
+        assert_same_run(fused_loop(p, params), sb_step_loop(p, params))
+
+
+class TestCouplingProduct:
+    @pytest.mark.parametrize("m,is_sparse", [(5, False), (19, False), (20, True), (24, True)])
+    def test_assignment_coupling(self, m, is_sparse):
+        p = qubo_to_ising(build_assignment_qubo(sparse_similarity(m, 0.1, seed=m), 1.0)[0])
+        product = sb._coupling(p.j)
+        assert sparse.issparse(product) == is_sparse
+        x = np.random.default_rng(m).uniform(-1, 1, p.n)
+        assert np.allclose(product @ x, p.j @ x, rtol=0, atol=1e-12)
+
+    def test_dense_coupling_stays_dense(self):
+        p = random_problem(400, seed=1)
+        assert sb._coupling(p.j) is p.j
+
+
+class TestSparseProductQuality:
+    """The CSR product changes rounding, so strict tables may differ from the dense
+    product's; over seeded instances they must be no worse.
+
+    An exactly symmetric product such as the closed-form row/column sums keeps
+    tied spins (equal similarities, e.g. zero-IOU pairs) in step and fails the
+    repair-free comparison at density 0.1. On sparser instances (density
+    0.05 to 0.07, most trackers overlapping nothing) the CSR table is
+    repair-free less often than the dense one, so there only the repaired
+    table's optimality is compared.
+    """
+
+    INSTANCES = 40
+
+    def counts(self, n, density):
+        totals = {"sparse": np.zeros(2, dtype=int), "dense": np.zeros(2, dtype=int)}
+        for i in range(self.INSTANCES):
+            s = sparse_similarity(n, density, seed=1000 * n + i)
+            params = SbParams(seed=i)
+            totals["sparse"] += strict_outcomes(s, params, sb._coupling)
+            totals["dense"] += strict_outcomes(s, params, lambda j: j)
+        return totals
+
+    @pytest.mark.parametrize("n", [20, 24])
+    def test_repair_free_as_often_as_dense(self, n):
+        totals = self.counts(n, density=0.1)
+        assert totals["sparse"][0] >= totals["dense"][0]
+        assert totals["sparse"][1] >= totals["dense"][1]
+
+    @pytest.mark.parametrize("n", [20, 24])
+    def test_optimal_after_repair_as_often_as_dense_when_sparser(self, n):
+        totals = self.counts(n, density=0.05)
+        assert totals["sparse"][1] >= totals["dense"][1]

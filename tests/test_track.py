@@ -115,6 +115,20 @@ class TestPredict:
         assert t.x[2] > 0
         assert t.box.width > 0
 
+    def test_shrinking_box_stops_instead_of_collapsing(self):
+        # updates from boxes shrinking 60 -> 12 px leave a steep negative area
+        # velocity; SORT's rule drops it once it would take the area below zero
+        t = new_tracker(det(100, 100, 60, 60), tracker_id=1)
+        for side in (48, 36, 24, 12):
+            predict(t)
+            update(t, det(130 - side / 2, 130 - side / 2, side, side))
+        widths = []
+        for _ in range(5):
+            predict(t)
+            widths.append(round(t.box.width, 2))
+        assert widths == [13.99, 11.67, 8.75, 4.13, 4.13]
+        assert t.x[6] == 0.0
+
 
 class TestUpdate:
     def test_zero_innovation_keeps_mean(self):
