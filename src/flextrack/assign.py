@@ -152,30 +152,86 @@ def _optimal_sum(s: np.ndarray) -> float:
     return float(s[rows, cols].sum())
 
 
+def _optima_without_each(rest: np.ndarray) -> np.ndarray:
+    """The optimum of ``rest`` with each column taken out, from one assignment.
+
+    ``rest`` must have no negative entry, so that a partial assignment extends
+    to a full one without losing value. Let ``A`` be an optimal assignment of
+    ``rest``, of value ``V``. Taking out a column nobody in ``A`` holds costs
+    nothing. Taking out the column of row ``h`` costs what ``h`` had on it,
+    less ``gain[h]``: the most ``h`` wins back by moving to an unused column,
+    to none, or to another holder's column, whose holder then moves on in
+    turn. ``A`` is optimal, so no chain of such moves gains by closing a cycle,
+    and the gains are longest paths, found by relaxing to a fixpoint.
+    """
+    n_rows, n_cols = rest.shape
+    if n_rows == 0:
+        return np.zeros(n_cols)
+    rows, cols = linear_sum_assignment(rest, maximize=True)
+    held = rest[rows, cols]
+    value = float(held.sum())
+    unused = np.ones(n_cols, dtype=bool)
+    unused[cols] = False
+    moves = rest[rows]
+    gain = moves[:, unused].max(axis=1, initial=0.0)
+    base = gain
+    # take[i, j]: row rows[i] takes column cols[j] from its holder, who moves on
+    take = moves[:, cols] - held
+    for _ in range(rows.size):
+        relaxed = np.maximum(base, (take + gain).max(axis=1))
+        if np.array_equal(relaxed, gain):
+            break
+        gain = relaxed
+    optima = np.full(n_cols, value)
+    optima[cols] = value - held + gain
+    return optima
+
+
 def hungarian(s) -> np.ndarray:
     """Maximum-similarity one-to-one table with min(n_t, n_d) matched pairs.
 
     Ties between optimal assignments are broken deterministically: trackers are
     fixed in index order, each taking the lowest detection index that still
-    permits an optimal completion.
+    permits an optimal completion, that is whose sum with the optimum of the
+    later trackers over the other free detections reaches ``total - _TIE_TOL``.
+
+    When no entry of ``s`` is negative, one assignment of the later trackers
+    over all free detections gives that optimum for every candidate at once
+    (:func:`_optima_without_each`). Candidates it settles with a margin for
+    rounding are taken or skipped on it; the others, and every candidate when
+    ``s`` has a negative entry, get the exact test, one LSA each.
     """
     s = _validate_similarity(s)
     n_t, n_d = s.shape
     total = _optimal_sum(s)
+    bounded = not (s < 0).any()
+    # rounding of the sums compared: fewer than n_t + n_d + 2 terms, each at most max |s|
+    slack = 4 * (n_t + n_d + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(s).max())
     table = np.zeros((n_t, n_d), dtype=np.int64)
-    free = list(range(n_d))
+    free = np.arange(n_d)
     fixed = 0.0
     for t in range(n_t):
-        chosen = None
-        for d in free:
-            rest = [c for c in free if c != d]
-            if fixed + s[t, d] + _optimal_sum(s[t + 1 :, rest]) >= total - _TIE_TOL:
-                chosen = d
+        if free.size == 0:
+            break  # every later tracker stays unmatched
+        if bounded:
+            reach = fixed + s[t, free] + _optima_without_each(s[t + 1 :][:, free])
+            sure = reach >= total - _TIE_TOL + slack
+            possible = reach >= total - _TIE_TOL - slack
+        else:
+            sure = np.zeros(free.size, dtype=bool)
+            possible = np.ones(free.size, dtype=bool)
+        first_sure = int(np.argmax(sure)) if sure.any() else free.size
+        chosen = first_sure if first_sure < free.size else None
+        for i in np.flatnonzero(possible[:first_sure]):
+            rest = np.delete(free, i)
+            if fixed + s[t, free[i]] + _optimal_sum(s[t + 1 :, rest]) >= total - _TIE_TOL:
+                chosen = i
                 break
         if chosen is not None:
-            table[t, chosen] = 1
-            free.remove(chosen)
-            fixed += s[t, chosen]
+            d = free[chosen]
+            table[t, d] = 1
+            fixed += s[t, d]
+            free = np.delete(free, chosen)
         # otherwise every optimal assignment leaves tracker t unmatched
     return table
 

@@ -125,13 +125,25 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def _edges(boxes) -> np.ndarray:
+    """Columns left, top, right, bottom and area of each box, as its properties give them."""
+    return np.array([(b.left, b.top, b.right, b.bottom, b.area) for b in boxes]).reshape(-1, 5)
+
+
 def similarity_matrix(trackers, detections) -> np.ndarray:
-    s = np.zeros((len(trackers), len(detections)))
-    boxes = [t.box for t in trackers]
-    for ti, tb in enumerate(boxes):
-        for di, det in enumerate(detections):
-            s[ti, di] = iou(tb, det.box)
-    return s
+    """IOU of every tracker's predicted box with every detection's box.
+
+    ``s[t, d] == iou(trackers[t].box, detections[d].box)`` bit for bit: the
+    pairs are computed in one broadcast pass with :func:`iou`'s operations in
+    its order, as SORT batches them.
+    """
+    a = _edges([t.box for t in trackers])[:, None, :]
+    b = _edges([d.box for d in detections])[None, :, :]
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = iw * ih
+    union = a[..., 4] + b[..., 4] - inter
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=(iw > 0) & (ih > 0))
 
 
 def _box_to_z(box: BoundingBox) -> np.ndarray:
