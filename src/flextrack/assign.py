@@ -16,9 +16,10 @@ coincidence does.
 ``flexible_assign`` solves the QUBO twice, once with a large penalty weight
 (strict one-to-one) and once with a small weight that tolerates many-to-one
 tables, then arbitrates: trackers matched in the large-weight table are
-``MATCH``; of the rest, those holding a bit in the small-weight table are
-``POTENTIAL_MATCH`` (the hallmark of an occluded object hiding behind a
-matched detection); the remainder are ``UNMATCH``.
+``MATCH``; of the rest, those holding a bit in the small-weight table on a
+detection a ``MATCH`` claimed are ``POTENTIAL_MATCH`` (the hallmark of an
+occluded object hiding behind a matched detection); the remainder are
+``UNMATCH``.
 """
 
 from __future__ import annotations
@@ -272,25 +273,29 @@ def _arbitrate(
     s_min: float,
 ) -> tuple[list[TrackerDecision], list[int]]:
     n_t, n_d = s.shape
-    decisions = []
+    decisions: list[TrackerDecision | None] = [None] * n_t
+    claimed = np.zeros(n_d, dtype=bool)
     for t in range(n_t):
         hit = np.flatnonzero(table_large[t])
         if len(hit) == 1:
             d = int(hit[0])
             if s[t, d] < s_min:
                 # gate weak matches out entirely; gating never promotes
-                decisions.append(TrackerDecision(TrackerState.UNMATCH))
+                decisions[t] = TrackerDecision(TrackerState.UNMATCH)
             else:
-                decisions.append(TrackerDecision(TrackerState.MATCH, d))
+                decisions[t] = TrackerDecision(TrackerState.MATCH, d)
+                claimed[d] = True
+    for t in range(n_t):
+        if decisions[t] is not None:
             continue
-        candidates = np.flatnonzero(table_small[t])
+        # park only behind a detection a MATCH claimed; an unclaimed one spawns
+        candidates = np.flatnonzero(claimed & (table_small[t] != 0))
         if len(candidates) > 0:
             d = int(candidates[np.argmax(s[t, candidates])])
-            decisions.append(TrackerDecision(TrackerState.POTENTIAL_MATCH, d))
+            decisions[t] = TrackerDecision(TrackerState.POTENTIAL_MATCH, d)
         else:
-            decisions.append(TrackerDecision(TrackerState.UNMATCH))
-    matched = {dec.detection for dec in decisions if dec.state is TrackerState.MATCH}
-    unmatched_detections = [d for d in range(n_d) if d not in matched]
+            decisions[t] = TrackerDecision(TrackerState.UNMATCH)
+    unmatched_detections = np.flatnonzero(~claimed).tolist()
     return decisions, unmatched_detections
 
 

@@ -98,20 +98,11 @@ def write_mot_file(path, records) -> None:
             fh.write(format_mot_record(r) + "\n")
 
 
+# every TrackConfig and SbParams field, parsed with the type of its default
 _CONFIG_KEYS = {
-    "max_age": int,
-    "anti_aging": int,
-    "c_small": float,
-    "c_large": float,
-    "s_min": float,
-    "a0": float,
-    "c0": float,
-    "eta": float,
-    "dt": float,
-    "n_steps": int,
-    "seed": int,
-    "restarts": int,
-    "init_noise": float,
+    f.name: type(f.default)
+    for f in fields(TrackConfig) + fields(SbParams)
+    if f.name != "sb_params"
 }
 _SB_KEYS = {f.name for f in fields(SbParams)}
 

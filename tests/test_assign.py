@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from flextrack.assign import (
     TrackerState,
@@ -60,6 +63,67 @@ def kron_qubo(s, c):
 
 def brute_solver(problem):
     return brute_force_qubo(problem)[0]
+
+
+def _loop_optimal_sum(s):
+    if s.shape[0] == 0 or s.shape[1] == 0:
+        return 0.0
+    rows, cols = linear_sum_assignment(s, maximize=True)
+    return float(s[rows, cols].sum())
+
+
+def loop_hungarian(s):
+    """The tie-break as one LSA per (tracker, candidate) pair: ``hungarian``'s oracle."""
+    s = np.asarray(s, dtype=np.float64)
+    n_t, n_d = s.shape
+    total = _loop_optimal_sum(s)
+    table = np.zeros((n_t, n_d), dtype=np.int64)
+    free = list(range(n_d))
+    fixed = 0.0
+    for t in range(n_t):
+        chosen = None
+        for d in free:
+            rest = [c for c in free if c != d]
+            if fixed + s[t, d] + _loop_optimal_sum(s[t + 1 :, rest]) >= total - 1e-9:
+                chosen = d
+                break
+        if chosen is not None:
+            table[t, chosen] = 1
+            free.remove(chosen)
+            fixed += s[t, chosen]
+    return table
+
+
+def sparse_iou_like(rng, n_t, n_d, fill):
+    """Mostly zeros, as IOU between predicted boxes and detections is."""
+    return np.where(rng.uniform(size=(n_t, n_d)) < fill, rng.uniform(size=(n_t, n_d)), 0.0)
+
+
+# small value sets make exact ties and zeros common; the last holds negatives,
+# where hungarian falls back to the exact test for every candidate
+_QUANTIZED = (
+    (0.0, 0.5, 1.0),
+    (0.0, 0.1, 0.2, 0.3),
+    (0.3,),
+    (0.0, 0.7, 0.7 + 5e-10, 0.7 + 2e-9, 0.7 + 1e-6),
+    (-0.5, 0.0, 0.25, 0.5),
+)
+
+
+@st.composite
+def similarity_matrices(draw):
+    n_t = draw(st.integers(1, 24))
+    n_d = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["quantized", "sparse", "negative", "normal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "quantized":
+        values = draw(st.sampled_from(_QUANTIZED[:-1]))
+        return rng.choice(values, size=(n_t, n_d))
+    if kind == "sparse":
+        return sparse_iou_like(rng, n_t, n_d, draw(st.sampled_from([0.05, 0.15, 0.4])))
+    if kind == "negative":
+        return rng.choice(_QUANTIZED[-1], size=(n_t, n_d))
+    return rng.normal(size=(n_t, n_d))
 
 
 class TestBuildAssignmentQubo:
@@ -166,6 +230,15 @@ class TestHungarian:
         table = hungarian(np.array([[0.1, 0.2, 0.9]]))
         assert table.tolist() == [[0, 0, 1]]
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(similarity_matrices())
+    def test_identical_to_loop_oracle(self, s):
+        assert np.array_equal(hungarian(s), loop_hungarian(s))
+
+    def test_identical_to_loop_oracle_128(self):
+        s = sparse_iou_like(np.random.default_rng(128), 128, 128, 0.05)
+        assert np.array_equal(hungarian(s), loop_hungarian(s))
+
     def test_exhaustive_agreement_small(self):
         rng = np.random.default_rng(2)
         for n_t, n_d in [(2, 2), (3, 3), (3, 2), (2, 3)]:
@@ -250,6 +323,30 @@ class TestFlexibleAssign:
         assert result.table_small[0].any()
         assert result.decisions[0].state is TrackerState.UNMATCH
 
+    def test_potential_match_needs_a_claimed_detection(self):
+        # the gated tracker 0 claims nothing, so tracker 1 cannot park on
+        # detection 0, which spawns a tracker of its own instead
+        result = flexible_assign([[0.09], [0.08]], brute_solver, c_small=0.05)
+        assert result.table_small[1, 0] == 1
+        assert result.decisions[1].state is TrackerState.UNMATCH
+        assert result.unmatched_detections == [0]
+
+    def test_potential_match_parks_on_the_claimed_detection(self):
+        # tracker 2 holds tolerant bits on the unclaimed detection 1 (higher
+        # similarity) and the claimed detection 0; only the claimed one counts
+        table_large = np.array([[1, 0], [0, 0], [0, 0]])
+        table_small = np.array([[1, 0], [0, 0], [1, 1]])
+        s = np.array([[0.9, 0.0], [0.5, 0.5], [0.4, 0.6]])
+
+        def replay(problem):
+            return table_large.ravel() if problem.q[0, 1] == 1.0 else table_small.ravel()
+
+        result = flexible_assign(s, replay)
+        assert result.decisions[2].state is TrackerState.POTENTIAL_MATCH
+        assert result.decisions[2].detection == 0
+        assert result.decisions[1].state is TrackerState.UNMATCH
+        assert result.unmatched_detections == [1]
+
     def test_gating_disabled_with_minus_inf(self):
         result = flexible_assign(np.array([[0.05]]), brute_solver, s_min=float("-inf"))
         assert result.decisions[0].state is TrackerState.MATCH
@@ -269,6 +366,7 @@ class TestFlexibleAssign:
                 elif dec.state is TrackerState.POTENTIAL_MATCH:
                     assert result.table_small[t, dec.detection] == 1
                     assert not result.table_large[t].any()
+                    assert dec.detection not in result.unmatched_detections
             assert len(matched) == len(set(matched))  # no detection matched twice
             assert sorted(matched + result.unmatched_detections) == list(range(n_d))
 

@@ -1,6 +1,7 @@
 """CLI subcommands, file formats, exit codes."""
 
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from flextrack.cli import (
     write_mot_file,
 )
 from flextrack.ising import BRUTE_FORCE_MAX_VARS
+from flextrack.sb import SbParams
 from flextrack.track import TrackConfig
 
 
@@ -75,6 +77,24 @@ class TestConfig:
     def test_defaults_when_empty(self, tmp_path):
         path = write(tmp_path / "cfg.txt", "# nothing\n")
         assert read_config(path) == TrackConfig()
+
+    def test_every_field_round_trips(self, tmp_path):
+        # a value off each default, written in the default's own type
+        track_fields = [f for f in fields(TrackConfig) if f.name != "sb_params"]
+        values = {f.name: f.default + 1 for f in track_fields + list(fields(SbParams))}
+        path = write(tmp_path / "cfg.txt", "".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        cfg = read_config(path)
+        for f in track_fields:
+            got = getattr(cfg, f.name)
+            assert got == values[f.name] and type(got) is type(f.default), f.name
+        for f in fields(SbParams):
+            got = getattr(cfg.sb_params, f.name)
+            assert got == values[f.name] and type(got) is type(f.default), f.name
+
+    def test_int_field_rejects_a_fraction(self, tmp_path):
+        path = write(tmp_path / "cfg.txt", "n_steps = 1.5\n")
+        with pytest.raises(ValueError, match="bad value for n_steps: '1.5'"):
+            read_config(path)
 
     def test_unknown_key_lists_valid(self, tmp_path):
         path = write(tmp_path / "cfg.txt", "maxage = 7\n")

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flextrack.assign import AssignmentResult, TrackerDecision, TrackerState
 from flextrack.track import (
@@ -14,6 +16,7 @@ from flextrack.track import (
     iou,
     new_tracker,
     predict,
+    similarity_matrix,
     step,
     update,
 )
@@ -58,6 +61,63 @@ class TestIou:
     def test_bad_box_rejected(self):
         with pytest.raises(ValueError):
             BoundingBox(0, 0, 0, 2)
+
+
+def loop_similarity(trackers, detections):
+    """``iou`` over every pair: ``similarity_matrix``'s oracle."""
+    s = np.zeros((len(trackers), len(detections)))
+    for ti, tracker in enumerate(trackers):
+        for di, detection in enumerate(detections):
+            s[ti, di] = iou(tracker.box, detection.box)
+    return s
+
+
+def assert_bit_identical(trackers, detections):
+    got = similarity_matrix(trackers, detections)
+    want = loop_similarity(trackers, detections)
+    assert got.shape == want.shape == (len(trackers), len(detections))
+    assert got.tobytes() == want.tobytes()
+
+
+def trackers_at(boxes):
+    return [new_tracker(det(*box), tracker_id=i) for i, box in enumerate(boxes)]
+
+
+class TestSimilarityMatrix:
+    def test_edge_cases(self):
+        # touching edges (iw == 0 and ih == 0), containment, identity, overlap, disjoint
+        trackers = trackers_at([(0, 0, 4, 2), (8, 8, 16, 16)])
+        detections = [
+            det(4, 0, 4, 2),
+            det(0, 2, 4, 2),
+            det(12, 12, 2, 4),
+            det(0, 0, 4, 2),
+            det(2, 1, 4, 2),
+            det(100, 100, 1, 1),
+        ]
+        assert trackers[0].box.right == detections[0].box.left
+        assert trackers[0].box.bottom == detections[1].box.top
+        assert_bit_identical(trackers, detections)
+        s = similarity_matrix(trackers, detections)
+        assert s[0, 0] == s[0, 1] == 0.0 and s[0, 3] == 1.0
+        assert s[1, 2] == pytest.approx(8 / 256)
+
+    @pytest.mark.parametrize("n_t,n_d", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, n_t, n_d):
+        assert_bit_identical(trackers_at([(i, i, 2, 2) for i in range(n_t)]),
+                             [det(i, i, 2, 2) for i in range(n_d)])
+
+    def test_grid_boxes_touch_often(self):
+        rng = np.random.default_rng(11)
+        boxes = np.column_stack([rng.integers(0, 12, (60, 2)), rng.integers(1, 5, (60, 2))])
+        trackers = trackers_at(boxes[:30].astype(float))
+        assert_bit_identical(trackers, [det(*b) for b in boxes[30:].astype(float)])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(*[st.floats(0.5, 40.0)] * 4), max_size=12),
+           st.lists(st.tuples(*[st.floats(0.5, 40.0)] * 4), max_size=12))
+    def test_identical_to_iou_loop(self, tracker_boxes, detection_boxes):
+        assert_bit_identical(trackers_at(tracker_boxes), [det(*b) for b in detection_boxes])
 
 
 class TestNewTracker:
