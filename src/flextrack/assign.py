@@ -192,21 +192,27 @@ def hungarian(s) -> np.ndarray:
     """Maximum-similarity one-to-one table with min(n_t, n_d) matched pairs.
 
     Ties between optimal assignments are broken deterministically: trackers are
-    fixed in index order, each taking the lowest detection index that still
-    permits an optimal completion, that is whose sum with the optimum of the
-    later trackers over the other free detections reaches ``total - _TIE_TOL``.
+    fixed in index order, each taking the lowest detection index ``d`` that
+    still permits an optimal completion, that is whose ``fixed + s[t, d] +
+    R(d)`` reaches ``total - _TIE_TOL``, with ``R(d)`` the optimum of the later
+    trackers over the free detections other than ``d``.
 
-    When no entry of ``s`` is negative, one assignment of the later trackers
-    over all free detections gives that optimum for every candidate at once
-    (:func:`_optima_without_each`). Candidates it settles with a margin for
-    rounding are taken or skipped on it; the others, and every candidate when
-    ``s`` has a negative entry, get the exact test, one LSA each.
+    When no entry of ``s`` is negative, one LSA of the later trackers over all
+    free detections, of value ``V``, gives ``R(d)`` for every candidate at once
+    (:func:`_optima_without_each`): ``R(d) = V`` if nobody in that assignment
+    holds ``d``; otherwise ``V - s[h, d] + g <= R(d) <= V`` for its holder
+    ``h`` and ``h``'s best entry ``g`` on a free detection the assignment
+    leaves unused, and relaxing ``h``'s moves through the other holders closes
+    the gap. A candidate whose ``R(d)`` clears the threshold, or misses it, by
+    more than a rounding margin is taken or skipped on it. The others, and
+    every candidate when ``s`` has a negative entry, take the exact test: a
+    fresh LSA over the later trackers and the free detections without ``d``.
     """
     s = _validate_similarity(s)
     n_t, n_d = s.shape
     total = _optimal_sum(s)
-    bounded = not (s < 0).any()
-    # rounding of the sums compared: fewer than n_t + n_d + 2 terms, each at most max |s|
+    nonnegative = not (s < 0).any()
+    # rounding: a sum compared has at most 2 (n_t + n_d + 2) terms, none above max |s|
     slack = 4 * (n_t + n_d + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(s).max())
     table = np.zeros((n_t, n_d), dtype=np.int64)
     free = np.arange(n_d)
@@ -214,7 +220,7 @@ def hungarian(s) -> np.ndarray:
     for t in range(n_t):
         if free.size == 0:
             break  # every later tracker stays unmatched
-        if bounded:
+        if nonnegative:
             reach = fixed + s[t, free] + _optima_without_each(s[t + 1 :][:, free])
             sure = reach >= total - _TIE_TOL + slack
             possible = reach >= total - _TIE_TOL - slack

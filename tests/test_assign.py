@@ -99,8 +99,9 @@ def sparse_iou_like(rng, n_t, n_d, fill):
     return np.where(rng.uniform(size=(n_t, n_d)) < fill, rng.uniform(size=(n_t, n_d)), 0.0)
 
 
-# small value sets make exact ties and zeros common; the last holds negatives,
-# where hungarian falls back to the exact test for every candidate
+# small value sets make exact ties and zeros common; the fourth puts sums near
+# the tie tolerance, and the last holds negatives, where hungarian falls back
+# to the exact test for every candidate
 _QUANTIZED = (
     (0.0, 0.5, 1.0),
     (0.0, 0.1, 0.2, 0.3),
