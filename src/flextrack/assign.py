@@ -107,15 +107,17 @@ def build_assignment_qubo(s, c: float) -> tuple[QuboProblem, float]:
         qubo_energy(problem, b.ravel()) + dropped == H_cost(b).
     """
     s = _validate_similarity(s)
-    if c < 0:
-        raise ValueError(f"penalty weight must be non-negative, got {c}")
+    if not (np.isfinite(c) and c >= 0):
+        raise ValueError(f"penalty weight must be finite and non-negative, got {c}")
     n_t, n_d = s.shape
     n = n_t * n_d
     # pairs (t, d) and (t', d') are penalized together when they share exactly
-    # one index: the same tracker or the same detection
-    same_t = np.eye(n_t, dtype=bool)[:, None, :, None]
-    same_d = np.eye(n_d, dtype=bool)[None, :, None, :]
-    q = np.multiply(c, (same_t != same_d).reshape(n, n), dtype=np.float64)
+    # one index: the same tracker (blocks) or the same detection (stripes);
+    # both also write the diagonal, which fill_diagonal then overwrites
+    q = np.zeros((n, n))
+    q4 = q.reshape(n_t, n_d, n_t, n_d)
+    q4[np.arange(n_t), :, np.arange(n_t), :] = c
+    q4[:, np.arange(n_d), :, np.arange(n_d)] = c
     # adding the penalties' zero diagonal turns a -0.0 similarity term into 0.0
     diagonal = -s.ravel() + 0.0
     dropped = 0.0
@@ -126,8 +128,11 @@ def build_assignment_qubo(s, c: float) -> tuple[QuboProblem, float]:
     if n_t <= n_d:
         diagonal -= c
         dropped += c * n_t
+    if not np.isfinite(diagonal).all():
+        raise ValueError(f"assignment QUBO overflows at penalty weight {c}")
     np.fill_diagonal(q, diagonal)
-    return QuboProblem(q), dropped
+    # symmetric and finite by construction, so the validating constructor is skipped
+    return QuboProblem._from_symmetric(q), dropped
 
 
 def check_one_to_one(b) -> bool:

@@ -9,6 +9,14 @@ exactly:
 
     qubo_energy(p, b) == ising_energy(qubo_to_ising(p), 2b - 1) + offset
 
+The public constructors validate their input: ``QuboProblem`` checks shape
+and finiteness and symmetrizes, ``IsingProblem`` checks shapes, symmetry and a
+zero diagonal. The private ``_from_symmetric`` constructors store the arrays as
+given, unchecked and uncopied, and trust the caller for all of that: float64,
+square, non-empty, finite, exactly symmetric, and a zero Ising diagonal. Only
+``build_assignment_qubo`` and :func:`qubo_to_ising` use them, on matrices that
+are so by construction; file input and the CLI go through the public ones.
+
 The module also provides :func:`brute_force_qubo`, an exhaustive minimizer used
 as the test oracle throughout the package (capped at 24 variables).
 """
@@ -44,6 +52,13 @@ class QuboProblem:
             raise ValueError("coefficient matrix contains non-finite entries")
         object.__setattr__(self, "q", (q + q.T) / 2.0)
 
+    @classmethod
+    def _from_symmetric(cls, q: np.ndarray) -> QuboProblem:
+        """Wrap a matrix the package built symmetric and finite, unchecked (module docstring)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "q", q)
+        return p
+
     @property
     def n(self) -> int:
         """Number of binary variables."""
@@ -78,6 +93,15 @@ class IsingProblem:
             raise ValueError("coupling matrix must have a zero diagonal")
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "h", h)
+
+    @classmethod
+    def _from_symmetric(cls, j: np.ndarray, h: np.ndarray, offset: float) -> IsingProblem:
+        """Wrap couplings the package built symmetric with a zero diagonal, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "j", j)
+        object.__setattr__(p, "h", h)
+        object.__setattr__(p, "offset", offset)
+        return p
 
     @property
     def n(self) -> int:
@@ -127,11 +151,13 @@ def qubo_to_ising(p: QuboProblem) -> IsingProblem:
     holds exactly for every bit vector.
     """
     q = p.q
-    j = -q / 2.0
+    # one pass: a product with -0.5 rounds exactly as -q / 2 does
+    j = q * -0.5
     np.fill_diagonal(j, 0.0)
     h = q.sum(axis=1) / 2.0
     offset = float(q.sum() + np.trace(q)) / 4.0
-    return IsingProblem(j=j, h=h, offset=offset)
+    # j is symmetric because q is, and its diagonal was just zeroed
+    return IsingProblem._from_symmetric(j, h, offset)
 
 
 def _enumerate_bits(n: int, start: int, stop: int) -> np.ndarray:

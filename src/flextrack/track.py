@@ -111,6 +111,16 @@ class TrackConfig:
     def __post_init__(self):
         if self.max_age < 0 or self.anti_aging < 0:
             raise ValueError("max_age and anti_aging must be non-negative")
+        if not (math.isfinite(self.c_small) and math.isfinite(self.c_large)):
+            raise ValueError(
+                f"c_small and c_large must be finite, got {self.c_small}, {self.c_large}"
+            )
+        if self.c_small < 0:
+            raise ValueError(f"c_small must be non-negative, got {self.c_small}")
+        # -inf turns the gate off; +inf would gate every match out, and nan
+        # compares false with every similarity
+        if not self.s_min < math.inf:
+            raise ValueError(f"s_min must be below inf and not nan, got {self.s_min}")
         if not self.c_small < self.c_large:
             raise ValueError(f"need c_small < c_large, got {self.c_small} >= {self.c_large}")
 

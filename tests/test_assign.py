@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -17,7 +17,7 @@ from flextrack.assign import (
     hungarian_assign,
     repair_table,
 )
-from flextrack.ising import QuboProblem, brute_force_qubo, qubo_energy
+from flextrack.ising import IsingProblem, QuboProblem, brute_force_qubo, qubo_energy, qubo_to_ising
 
 
 def direct_cost(s, table, c):
@@ -59,6 +59,26 @@ def kron_qubo(s, c):
         q -= c * np.eye(n)
         dropped += c * n_t
     return q, dropped
+
+
+def broadcast_qubo(s, c):
+    """The builder as one boolean broadcast through the validating constructor: its oracle."""
+    s = np.asarray(s, dtype=np.float64)
+    n_t, n_d = s.shape
+    n = n_t * n_d
+    same_t = np.eye(n_t, dtype=bool)[:, None, :, None]
+    same_d = np.eye(n_d, dtype=bool)[None, :, None, :]
+    q = np.multiply(c, (same_t != same_d).reshape(n, n), dtype=np.float64)
+    diagonal = -s.ravel() + 0.0
+    dropped = 0.0
+    if n_t >= n_d:
+        diagonal -= c
+        dropped += c * n_d
+    if n_t <= n_d:
+        diagonal -= c
+        dropped += c * n_t
+    np.fill_diagonal(q, diagonal)
+    return QuboProblem(q), dropped
 
 
 def brute_solver(problem):
@@ -176,6 +196,59 @@ class TestBuildAssignmentQubo:
         q, oracle_dropped = kron_qubo(s, c)
         assert problem.q.tobytes() == QuboProblem(q).q.tobytes()
         assert dropped == oracle_dropped
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_t=st.integers(1, 40),
+        n_d=st.integers(1, 40),
+        fill=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        c=st.sampled_from([0.0, 0.1, 1.0, 2.5]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n_t=40, n_d=40, fill=0.1, c=1.0, seed=0)
+    @example(n_t=40, n_d=1, fill=0.5, c=0.1, seed=0)
+    def test_bit_identical_to_oracles_up_to_40(self, n_t, n_d, fill, c, seed):
+        rng = np.random.default_rng(seed)
+        s = sparse_iou_like(rng, n_t, n_d, fill)
+        problem, dropped = build_assignment_qubo(s, c)
+        oracle, oracle_dropped = broadcast_qubo(s, c)
+        assert problem.q.tobytes() == oracle.q.tobytes()
+        assert problem.q.tobytes() == QuboProblem(kron_qubo(s, c)[0]).q.tobytes()
+        assert dropped == oracle_dropped
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        n_t=st.integers(1, 30),
+        n_d=st.integers(1, 30),
+        c=st.sampled_from([0.0, 0.1, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_unchecked_constructors_match_validating_ones(self, n_t, n_d, c, seed):
+        # the builder and the converter skip validation; the public
+        # constructors, fed their outputs, must accept them and change nothing
+        s = sparse_iou_like(np.random.default_rng(seed), n_t, n_d, 0.3)
+        problem, _ = build_assignment_qubo(s, c)
+        assert type(problem) is QuboProblem
+        assert QuboProblem(problem.q).q.tobytes() == problem.q.tobytes()
+        ising = qubo_to_ising(problem)
+        validated = IsingProblem(ising.j, ising.h, ising.offset)
+        assert validated.j.tobytes() == ising.j.tobytes()
+        assert validated.h.tobytes() == ising.h.tobytes()
+        assert validated.offset == ising.offset
+        # the converter's coupling as first written, -q / 2 with a zeroed diagonal
+        j = -problem.q / 2.0
+        np.fill_diagonal(j, 0.0)
+        assert ising.j.tobytes() == j.tobytes()
+
+    @pytest.mark.parametrize("c", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite_weight(self, c):
+        with pytest.raises(ValueError, match="penalty weight"):
+            build_assignment_qubo([[0.5, 0.1], [0.2, 0.4]], c)
+
+    def test_rejects_overflowing_diagonal(self):
+        # every input finite, but -s - 2c is not
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            build_assignment_qubo([[1e308]], 1e308)
 
     @pytest.mark.parametrize("n_t,n_d", [(2, 2), (3, 2), (2, 3)])
     def test_penalty_zero_iff_feasible(self, n_t, n_d):

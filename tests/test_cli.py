@@ -102,6 +102,50 @@ class TestConfig:
             read_config(path)
 
 
+_TRACK_FLOATS = [f.name for f in fields(TrackConfig) if type(f.default) is float]
+_SB_FLOATS = [f.name for f in fields(SbParams) if type(f.default) is float]
+
+
+class TestBadSettings:
+    """Every float setting rejects nan and inf as a data error: exit 2, an
+    ``error:`` line, no traceback and no output file."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", _TRACK_FLOATS + _SB_FLOATS)
+    def test_track_config(self, tmp_path, capsys, key, value):
+        det = write(
+            tmp_path / "det.txt",
+            "1,-1,10,20,30,40,1,-1,-1,-1\n2,-1,12,20,30,40,1,-1,-1,-1\n",
+        )
+        cfg = write(tmp_path / "cfg.txt", f"{key} = {value}\n")
+        out = tmp_path / "r.txt"
+        assert main(["track", det, "-o", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", _SB_FLOATS)
+    def test_solve_qubo_flag(self, tmp_path, capsys, key, value):
+        qubo = write(tmp_path / "q.txt", "1\n0 0 -2.5\n")
+        assert main(["solve-qubo", qubo, "--" + key.replace("_", "-"), value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and key in captured.err
+        assert captured.out == ""
+
+    def test_negative_weight_before_any_assignment(self, tmp_path, capsys):
+        # one frame never reaches the QUBO builder: the config itself is checked
+        det = write(tmp_path / "det.txt", "1,-1,10,20,30,40,1,-1,-1,-1\n")
+        cfg = write(tmp_path / "cfg.txt", "c_small = -0.5\n")
+        assert main(["track", det, "-o", str(tmp_path / "r.txt"), "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: c_small")
+
+    def test_gate_off_with_minus_inf(self, tmp_path):
+        det = write(tmp_path / "det.txt", "1,-1,10,20,30,40,1,-1,-1,-1\n")
+        cfg = write(tmp_path / "cfg.txt", "s_min = -inf\n")
+        assert main(["track", det, "-o", str(tmp_path / "r.txt"), "--config", cfg]) == 0
+
+
 class TestSolveQubo:
     def test_single_variable(self, tmp_path, capsys):
         qubo = write(tmp_path / "q.txt", "1\n0 0 -2.5\n")
