@@ -121,13 +121,15 @@ def build_assignment_qubo(s, c: float) -> tuple[QuboProblem, float]:
     # adding the penalties' zero diagonal turns a -0.0 similarity term into 0.0
     diagonal = -s.ravel() + 0.0
     dropped = 0.0
-    if n_t >= n_d:
-        # squared equality per detection: linear part -c, constant +c each
-        diagonal -= c
-        dropped += c * n_d
-    if n_t <= n_d:
-        diagonal -= c
-        dropped += c * n_t
+    # a huge c may overflow here; the finiteness check below rejects the result
+    with np.errstate(over="ignore"):
+        if n_t >= n_d:
+            # squared equality per detection: linear part -c, constant +c each
+            diagonal -= c
+            dropped += c * n_d
+        if n_t <= n_d:
+            diagonal -= c
+            dropped += c * n_t
     if not np.isfinite(diagonal).all():
         raise ValueError(f"assignment QUBO overflows at penalty weight {c}")
     np.fill_diagonal(q, diagonal)

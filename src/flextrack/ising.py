@@ -23,6 +23,8 @@ as the test oracle throughout the package (capped at 24 variables).
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +52,11 @@ class QuboProblem:
             raise ValueError("QUBO needs at least one variable")
         if not np.all(np.isfinite(q)):
             raise ValueError("coefficient matrix contains non-finite entries")
-        object.__setattr__(self, "q", (q + q.T) / 2.0)
+        with np.errstate(over="ignore"):
+            q = (q + q.T) / 2.0
+        if not np.all(np.isfinite(q)):
+            raise ValueError("coefficient matrix overflows when symmetrized")
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def _from_symmetric(cls, q: np.ndarray) -> QuboProblem:
@@ -196,11 +202,56 @@ def brute_force_qubo(p: QuboProblem) -> tuple[np.ndarray, float]:
 def read_qubo_file(path) -> QuboProblem:
     """Read the QUBO text format: first line ``n``, then ``i j value`` lines.
 
-    Indices are 0-based; unlisted entries are zero; the matrix is symmetrized
-    on load, so a file may list either triangle or both.
+    Indices are 0-based and unlisted entries are zero. When an entry is listed
+    more than once, the last listing wins; the matrix is then symmetrized, so
+    a file may list either triangle or both. Text after ``#`` is a comment,
+    and blank lines are skipped. A malformed file raises ``ValueError`` naming
+    the file and the offending line.
+
+    A well-formed file whose first line is the count is parsed in one
+    vectorized pass; any other file goes through the line-by-line reader,
+    which reports errors and accepts the spellings only Python's ``int`` and
+    ``float`` take (such as ``1_0``).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+        text = fh.read()
+    q = _parse_well_formed(text)
+    if q is None:
+        # the lines fh.readlines() gives: split at "\n" only, unlike str.splitlines
+        q = _parse_lines(path, io.StringIO(text).readlines())
+    return QuboProblem(q)
+
+
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _parse_well_formed(text: str) -> np.ndarray | None:
+    """The matrix of a file with a bare count on its first line and valid entries, else None."""
+    header, _, body = text.partition("\n")
+    try:
+        n = int(header)
+    except ValueError:
+        return None
+    if n < 1:
+        return None
+    try:
+        # a warning here (no entries at all) also hands the file to the line reader
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = np.loadtxt(io.StringIO(body), dtype=_ENTRY, comments="#", ndmin=1)
+    except (ValueError, Warning):
+        return None
+    i, j = entries["i"], entries["j"]
+    if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n:
+        return None
+    q = np.zeros((n, n))
+    # a 1-D index into a 1-D view is written in order, so the last duplicate wins
+    q.reshape(-1)[i * n + j] = entries["v"]
+    return q
+
+
+def _parse_lines(path, lines: list[str]) -> np.ndarray:
+    """The line-by-line reader: the matrix, or a ``ValueError`` naming the line."""
     n = None
     q = None
     for lineno, raw in enumerate(lines, start=1):
@@ -231,4 +282,4 @@ def read_qubo_file(path) -> QuboProblem:
         q[i, j] = value
     if n is None:
         raise ValueError(f"{path}: empty QUBO file")
-    return QuboProblem(q)
+    return q

@@ -18,12 +18,30 @@ Initialization: positions start at zero and momenta are drawn uniformly from
 ``[-init_noise, +init_noise]`` with numpy's default generator seeded from
 ``SbParams.seed``, so a solve is fully deterministic for a fixed seed.
 
-:func:`sb_step` is the one-step reference. :func:`solve_ising` runs each
-trajectory as one fused loop over in-place ``x`` and ``y`` arrays: no state
-object per step, the ramp evaluated once per step index before the loop, and
-``eta * h`` computed once. It performs the reference's floating-point
-operations in the same order, so with a dense coupling its spins are
-bit-identical to iterating :func:`sb_step`.
+:func:`sb_step` is the one-step reference. :func:`solve_ising` runs one
+fused loop over in-place ``x`` and ``y`` arrays: no state object per step,
+the ramp evaluated once per step index before the loop, and ``eta * h``
+computed once. It performs the reference's floating-point operations in the
+same order, so with a dense coupling its spins are bit-identical to iterating
+:func:`sb_step`.
+
+Restarts are independent trajectories, so they are the rows of one
+``(restarts, n)`` state and the loop steps them all at once. One draw of
+``(restarts, n)`` momenta gives the numbers per-restart draws would give, in
+the same order. Each row then sees exactly the arithmetic it would see alone;
+only the coupling product needs care, and its form depends on the case:
+
+- one restart: ``J @ x`` on the single row; a stacked product with one row
+  made the solves of 5 x 5 and 24 x 24 tracking frames 15 to 17 % slower;
+- dense ``J``, several restarts: ``J`` against each row as a matrix-vector
+  product (``matmul`` on an ``(restarts, n, 1)`` view), which BLAS computes
+  as it computes ``J @ x`` per row; ``x @ J`` and ``J @ x.T`` are
+  matrix-matrix products, and neither was bit-identical on 256 spins;
+- CSR ``J``, several restarts: ``J @ x.T``, scipy's multi-vector kernel,
+  which sums each row's products in the single-vector order.
+
+The spins are digitized and scored row by row, and the earliest restart wins
+a tie.
 
 The coupling product ``J @ x`` dominates a step at large ``n`` (Goto,
 Tatsumura & Dixon, Sci. Adv. 5:eaav2372, 2019). The assignment coupling has
@@ -170,33 +188,42 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams(), ramp=linear_ramp
     initial momenta from one seeded generator) and keeps the lowest-energy
     digitized result, preferring the earliest run on ties.
 
-    Each trajectory runs as the fused loop described in the module docstring.
+    All trajectories are the rows of one state, stepped together by the fused
+    loop described in the module docstring.
     """
     rng = np.random.default_rng(params.seed)
     a0, c0, dt = params.a0, params.c0, params.dt
     coupling = _coupling(p.j)
     detuning = [-(a0 - ramp(k, params)) for k in range(params.n_steps)]
-    eta_h = params.eta * p.h
+    # one draw gives every restart's momenta in the order per-restart draws would
+    x_rows = np.zeros((params.restarts, p.n))
+    y_rows = rng.uniform(-params.init_noise, params.init_noise, size=x_rows.shape)
+    # views of the rows shaped so that ``coupling @ x`` is the product the
+    # module docstring picks: one row, one gemv per row, or one CSR multivector
+    if params.restarts == 1:
+        x, y, eta_h = x_rows[0], y_rows[0], params.eta * p.h
+    elif sparse.issparse(coupling):
+        x, y, eta_h = x_rows.T, y_rows.T, params.eta * p.h[:, None]
+    else:
+        x, y, eta_h = x_rows[:, :, None], y_rows[:, :, None], params.eta * p.h[:, None]
+    for neg_detune in detuning:
+        force = coupling @ x
+        force *= c0
+        kick = neg_detune * x
+        kick -= eta_h
+        kick += force
+        kick *= dt
+        y += kick
+        drift = a0 * y
+        drift *= dt
+        x += drift
+        over = np.abs(x) > 1.0
+        np.copysign(1.0, x, out=x, where=over)
+        y[over] = 0.0
     best_spins = None
     best_energy = np.inf
-    for _ in range(params.restarts):
-        state = initial_state(p.n, rng, params.init_noise)
-        x, y = state.x, state.y
-        for neg_detune in detuning:
-            force = coupling @ x
-            force *= c0
-            kick = neg_detune * x
-            kick -= eta_h
-            kick += force
-            kick *= dt
-            y += kick
-            drift = a0 * y
-            drift *= dt
-            x += drift
-            over = np.abs(x) > 1.0
-            np.copysign(1.0, x, out=x, where=over)
-            y[over] = 0.0
-        spins = _digitize(x)
+    for row in x_rows:
+        spins = _digitize(row)
         energy = ising_energy(p, spins)
         if energy < best_energy:
             best_energy = energy

@@ -1,11 +1,16 @@
 """CLI subcommands, file formats, exit codes."""
 
+import os
+import subprocess
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flextrack
 from flextrack import track
 from flextrack.cli import (
     MotRecord,
@@ -140,6 +145,24 @@ class TestBadSettings:
         assert main(["track", det, "-o", str(tmp_path / "r.txt"), "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("error: c_small")
 
+    def test_overflowing_weight_prints_only_the_error(self, tmp_path):
+        # run as a process, where a NumPy warning would reach stderr uncaptured
+        det = write(
+            tmp_path / "det.txt",
+            "1,-1,10,20,30,40,1,-1,-1,-1\n2,-1,12,20,30,40,1,-1,-1,-1\n",
+        )
+        cfg = write(tmp_path / "cfg.txt", "c_large = 1e308\n")
+        src = str(Path(flextrack.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "flextrack.cli", "track", det,
+             "-o", str(tmp_path / "r.txt"), "--config", cfg],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: assignment QUBO overflows at penalty weight 1e+308\n"
+        assert proc.stdout == ""
+
     def test_gate_off_with_minus_inf(self, tmp_path):
         det = write(tmp_path / "det.txt", "1,-1,10,20,30,40,1,-1,-1,-1\n")
         cfg = write(tmp_path / "cfg.txt", "s_min = -inf\n")
@@ -241,7 +264,7 @@ class TestTrack:
         det = write(tmp_path / "det.txt", "")
         out = str(tmp_path / "res.txt")
         assert main(["track", det, "-o", out]) == 0
-        assert open(out).read() == ""
+        assert Path(out).read_text() == ""
 
     def test_single_detection_spawns_id_1(self, tmp_path):
         det = write(tmp_path / "det.txt", "1,-1,10.00,20.00,30.00,40.00,1.000000,-1,-1,-1\n")
@@ -268,7 +291,7 @@ class TestTrack:
         det = write(tmp_path / "det.txt", "1,-1,10,20,30,40,1,-1,-1,-1\n")
         out = str(tmp_path / "res.txt")
         assert main(["track", det, "-o", out]) == 0
-        diag = open(out + ".diag.csv").read().splitlines()
+        diag = Path(out + ".diag.csv").read_text().splitlines()
         assert diag[0] == "frame,n_trackers,n_detections,energy_large,energy_small,repairs,solve_time_s"
         assert len(diag) == 2 and diag[1].startswith("1,0,1,")
 
@@ -288,7 +311,7 @@ class TestTrack:
         out = str(tmp_path / "res.txt")
         for extra in ([], ["--baseline"]):
             assert main(["track", det, "-o", out] + extra) == 0
-            diag = open(out + ".diag.csv").read().splitlines()[1:]
+            diag = Path(out + ".diag.csv").read_text().splitlines()[1:]
             assert len(diag) == 4
             times = [float(row.split(",")[-1]) for row in diag]
             assert times[0] == 0.0  # no trackers yet: nothing to assign
@@ -393,4 +416,4 @@ class TestDeterminism:
         out1, out2 = str(tmp_path / "r1.txt"), str(tmp_path / "r2.txt")
         assert main(["track", prefix + ".det.txt", "-o", out1, "--seed", "5"]) == 0
         assert main(["track", prefix + ".det.txt", "-o", out2, "--seed", "5"]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()

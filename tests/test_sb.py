@@ -76,6 +76,44 @@ def fused_loop(p, params, ramp=linear_ramp):
     return spins, positions
 
 
+def per_restart_loop(p, params, ramp=linear_ramp):
+    """The fused loop run once per restart, as ``solve_ising`` ran before its
+    restarts became rows of one state: the stacked loop's oracle on any product.
+
+    Returns the spins and the final positions of every restart.
+    """
+    rng = np.random.default_rng(params.seed)
+    a0, c0, dt = params.a0, params.c0, params.dt
+    coupling = sb._coupling(p.j)
+    detuning = [-(a0 - ramp(k, params)) for k in range(params.n_steps)]
+    eta_h = params.eta * p.h
+    best_spins, best_energy = None, np.inf
+    positions = []
+    for _ in range(params.restarts):
+        state = initial_state(p.n, rng, params.init_noise)
+        x, y = state.x, state.y
+        for neg_detune in detuning:
+            force = coupling @ x
+            force *= c0
+            kick = neg_detune * x
+            kick -= eta_h
+            kick += force
+            kick *= dt
+            y += kick
+            drift = a0 * y
+            drift *= dt
+            x += drift
+            over = np.abs(x) > 1.0
+            np.copysign(1.0, x, out=x, where=over)
+            y[over] = 0.0
+        positions.append(x)
+        spins = sb._digitize(x)
+        energy = ising_energy(p, spins)
+        if energy < best_energy:
+            best_spins, best_energy = spins, energy
+    return best_spins, positions
+
+
 def assert_same_run(fused, reference):
     assert np.array_equal(fused[0], reference[0])
     assert [x.tobytes() for x in fused[1]] == [x.tobytes() for x in reference[1]]
@@ -255,6 +293,36 @@ class TestFusedLoop:
         p = qubo_to_ising(build_assignment_qubo(s, c)[0])
         params = SbParams(seed=5, restarts=2, n_steps=60)
         assert_same_run(fused_loop(p, params), sb_step_loop(p, params))
+
+
+class TestStackedRestarts:
+    """Restarts run as the rows of one state, bit for bit as when run one by one."""
+
+    @pytest.mark.parametrize("m,restarts", [(20, 3), (24, 4), (28, 3)])
+    def test_csr_rows_bit_identical_to_per_restart_loop(self, m, restarts):
+        s = sparse_similarity(m, 0.1, seed=m)
+        p = qubo_to_ising(build_assignment_qubo(s, 1.0)[0])
+        assert sparse.issparse(sb._coupling(p.j))
+        params = SbParams(seed=m, restarts=restarts, n_steps=120)
+        assert_same_run(fused_loop(p, params), per_restart_loop(p, params))
+
+    @pytest.mark.parametrize("n,restarts", [(5, 1), (5, 3), (256, 4)])
+    def test_dense_rows_bit_identical_to_per_restart_loop(self, n, restarts):
+        p = qubo_to_ising(QuboProblem(np.random.default_rng(n).normal(size=(n, n))))
+        params = SbParams(seed=n, restarts=restarts, n_steps=60)
+        assert_same_run(fused_loop(p, params), per_restart_loop(p, params))
+
+    def test_earliest_restart_wins_a_tie(self):
+        # both aligned states are ground states; the seeds land restarts on either
+        p = IsingProblem(j=[[0.0, 1.0], [1.0, 0.0]], h=[0.0, 0.0])
+        split = 0
+        for seed in range(6):
+            spins, positions = fused_loop(p, SbParams(seed=seed, restarts=3))
+            rows = [sb._digitize(x) for x in positions]
+            assert {ising_energy(p, r) for r in rows} == {-1.0}
+            assert np.array_equal(spins, rows[0])
+            split += any(not np.array_equal(r, rows[0]) for r in rows[1:])
+        assert split >= 3
 
 
 class TestCouplingProduct:
