@@ -8,93 +8,16 @@ can survive long occlusion events.
 
 __version__ = "0.1.0"
 
-from .assign import (
-    AssignmentResult,
-    TrackerDecision,
-    TrackerState,
-    build_assignment_qubo,
-    check_one_to_one,
-    flexible_assign,
-    hungarian,
-    hungarian_assign,
-)
-from .ising import (
-    IsingProblem,
-    QuboProblem,
-    bits_to_spins,
-    brute_force_qubo,
-    ising_energy,
-    qubo_energy,
-    qubo_to_ising,
-    read_qubo_file,
-    spins_to_bits,
-)
-from .sb import SbParams, SbState, linear_ramp, sb_step, solve_ising, solve_qubo
-from .scenario import (
-    GroundTruth,
-    MovingObject,
-    ScenarioSpec,
-    five_object_crossing,
-    generate,
-    id_switches,
-    occlusion_survival,
-    occlusion_windows,
-    parse_scenario,
-)
-from .track import (
-    BoundingBox,
-    Detection,
-    MultiObjectTracker,
-    TrackConfig,
-    Tracker,
-    iou,
-    new_tracker,
-    predict,
-    step,
-    update,
-)
+from .assign import flexible_assign
+from .sb import SbParams, solve_qubo
+from .track import BoundingBox, Detection, MultiObjectTracker, TrackConfig
 
 __all__ = [
-    "AssignmentResult",
     "BoundingBox",
     "Detection",
-    "GroundTruth",
-    "IsingProblem",
-    "MovingObject",
     "MultiObjectTracker",
-    "QuboProblem",
     "SbParams",
-    "SbState",
-    "ScenarioSpec",
     "TrackConfig",
-    "Tracker",
-    "TrackerDecision",
-    "TrackerState",
-    "bits_to_spins",
-    "brute_force_qubo",
-    "build_assignment_qubo",
-    "check_one_to_one",
-    "five_object_crossing",
     "flexible_assign",
-    "generate",
-    "hungarian",
-    "hungarian_assign",
-    "id_switches",
-    "iou",
-    "ising_energy",
-    "linear_ramp",
-    "new_tracker",
-    "occlusion_survival",
-    "occlusion_windows",
-    "parse_scenario",
-    "predict",
-    "qubo_energy",
-    "qubo_to_ising",
-    "read_qubo_file",
-    "sb_step",
-    "solve_ising",
     "solve_qubo",
-    "spins_to_bits",
-    "step",
-    "update",
 ]

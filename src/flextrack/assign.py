@@ -71,14 +71,6 @@ class AssignmentResult:
     energy_large: float = float("nan")
     energy_small: float = float("nan")
 
-    def matches(self) -> dict[int, int]:
-        """Tracker index -> detection index for MATCH decisions."""
-        return {
-            t: dec.detection
-            for t, dec in enumerate(self.decisions)
-            if dec.state is TrackerState.MATCH
-        }
-
 
 def _validate_similarity(s) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)

@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -28,6 +29,7 @@ from .assign import AssignmentResult
 from .ising import BRUTE_FORCE_MAX_VARS, brute_force_qubo, read_qubo_file
 from .sb import SbParams, solve_qubo
 from .scenario import (
+    IOU_MIN,
     GroundTruth,
     TruthEntry,
     generate,
@@ -68,6 +70,10 @@ def parse_mot_line(line: str) -> MotRecord:
     left, top, width, height, confidence = (float(v) for v in parts[2:7])
     if frame < 1:
         raise ValueError(f"frame numbers must be positive, got {frame}")
+    if not all(map(math.isfinite, (left, top, width, height, confidence))):
+        raise ValueError("box and confidence fields must be finite")
+    if not all(map(math.isfinite, (left + width, top + height, width * height))):
+        raise ValueError("the box's right edge, bottom edge or area overflows")
     return MotRecord(frame, track_id, left, top, width, height, confidence)
 
 
@@ -155,6 +161,8 @@ class _TimedAssigner:
 
 
 def cmd_track(args) -> int:
+    if not math.isfinite(args.min_confidence):
+        raise ValueError(f"--min-confidence must be finite, got {args.min_confidence}")
     records = read_mot_file(args.detections)
     cfg = read_config(args.config) if args.config else TrackConfig()
     if args.seed is not None:
@@ -301,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a results file against ground truth")
     p.add_argument("results", help="MOT results file")
     p.add_argument("ground_truth", help="MOT ground-truth file")
-    p.add_argument("--anti-aging", type=int, default=5,
+    p.add_argument("--anti-aging", type=int, default=TrackConfig.anti_aging,
                    help="frames allowed for re-association after reappearance")
-    p.add_argument("--iou-min", type=float, default=0.5, help="association IOU floor")
+    p.add_argument("--iou-min", type=float, default=IOU_MIN, help="association IOU floor")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("solve-qubo", help="solve a QUBO text file")

@@ -9,10 +9,10 @@ perfectly inelastic wall at ``x = +/-1``:
     x_i += a0 * y_i * dt
     if |x_i| > 1:  x_i = sign(x_i), y_i = 0
 
-``a_k`` is a control parameter ramped from zero to ``a0`` over the run; the
-default schedule is linear, ``a_k = a0 * k / n_steps``, and can be swapped via
-the ``ramp`` argument. After ``n_steps`` steps the positions are digitized to
-spins by sign (with sign(0) taken as +1).
+``a_k`` is the pump, ramped linearly from zero towards ``a0`` over a fixed
+schedule, ``a_k = a0 * k / n_steps`` (Goto et al., Sci. Adv. 7:eabe7953, 2021).
+After ``n_steps`` steps the positions are digitized to spins by sign (with
+sign(0) taken as +1).
 
 Initialization: positions start at zero and momenta are drawn uniformly from
 ``[-init_noise, +init_noise]`` with numpy's default generator seeded from
@@ -20,7 +20,7 @@ Initialization: positions start at zero and momenta are drawn uniformly from
 
 :func:`sb_step` is the one-step reference. :func:`solve_ising` runs one
 fused loop over in-place ``x`` and ``y`` arrays: no state object per step,
-the ramp evaluated once per step index before the loop, and ``eta * h``
+the detuning evaluated once per step index before the loop, and ``eta * h``
 computed once. It performs the reference's floating-point operations in the
 same order, so with a dense coupling its spins are bit-identical to iterating
 :func:`sb_step`.
@@ -123,18 +123,13 @@ class SbState:
     k: int = 0
 
 
-def linear_ramp(k: int, params: SbParams) -> float:
-    """Default control schedule: ``a_k = a0 * k / n_steps``."""
-    return params.a0 * k / params.n_steps
-
-
-def sb_step(state: SbState, p: IsingProblem, params: SbParams, ramp=linear_ramp) -> SbState:
+def sb_step(state: SbState, p: IsingProblem, params: SbParams) -> SbState:
     """Advance the oscillator network by one time step."""
     if state.x.shape != (p.n,) or state.y.shape != (p.n,):
         raise ValueError(
             f"state dimension {state.x.shape} does not match problem size {p.n}"
         )
-    a_k = ramp(state.k, params)
+    a_k = params.a0 * state.k / params.n_steps
     y = state.y + (
         -(params.a0 - a_k) * state.x - params.eta * p.h + params.c0 * (p.j @ state.x)
     ) * params.dt
@@ -181,7 +176,7 @@ def _coupling(j: np.ndarray):
     return sparse.csr_array((j.ravel()[flat], indices, indptr), shape=j.shape)
 
 
-def solve_ising(p: IsingProblem, params: SbParams = SbParams(), ramp=linear_ramp) -> np.ndarray:
+def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     """Run the solver and return a +/-1 spin vector.
 
     With ``restarts > 1``, runs that many independent trajectories (drawing all
@@ -194,7 +189,7 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams(), ramp=linear_ramp
     rng = np.random.default_rng(params.seed)
     a0, c0, dt = params.a0, params.c0, params.dt
     coupling = _coupling(p.j)
-    detuning = [-(a0 - ramp(k, params)) for k in range(params.n_steps)]
+    detuning = [-(a0 - a0 * k / params.n_steps) for k in range(params.n_steps)]
     # one draw gives every restart's momenta in the order per-restart draws would
     x_rows = np.zeros((params.restarts, p.n))
     y_rows = rng.uniform(-params.init_noise, params.init_noise, size=x_rows.shape)
@@ -231,18 +226,10 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams(), ramp=linear_ramp
     return best_spins
 
 
-def solve_qubo(
-    p: QuboProblem,
-    params: SbParams = SbParams(),
-    ramp=linear_ramp,
-    offset: float = 0.0,
-) -> tuple[np.ndarray, float]:
+def solve_qubo(p: QuboProblem, params: SbParams = SbParams()) -> tuple[np.ndarray, float]:
     """Solve a QUBO by converting to Ising form and digitizing the result.
 
-    Returns ``(bits, energy)`` where the energy equals ``qubo_energy(p, bits)``
-    plus the optional ``offset`` (useful when the matrix was built by dropping
-    a constant, as the assignment builder does).
+    Returns ``(bits, energy)`` with ``energy == qubo_energy(p, bits)``.
     """
-    spins = solve_ising(qubo_to_ising(p), params, ramp)
-    bits = spins_to_bits(spins)
-    return bits, qubo_energy(p, bits) + offset
+    bits = spins_to_bits(solve_ising(qubo_to_ising(p), params))
+    return bits, qubo_energy(p, bits)

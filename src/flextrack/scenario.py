@@ -8,7 +8,7 @@ positional jitter. This reproduces the detector-side signature of objects
 crossing and hiding one another without needing video or a detector.
 
 Metrics associate each visible ground-truth object per frame to the tracker
-box with maximal IOU (at least 0.5 by default) and report
+box with maximal IOU (at least ``IOU_MIN`` by default) and report
 
   * ``id_switches``: frames where an object's associated tracker id differs
     from its previously associated id
@@ -22,11 +22,16 @@ independently of the generator's internals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
-from .track import BoundingBox, Detection, iou
+from .track import BoundingBox, Detection, TrackConfig, iou
+
+# default association floor of the metrics
+IOU_MIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -54,11 +59,17 @@ class ScenarioSpec:
             raise ValueError("n_frames must be at least 1")
         if not (0 < self.occlusion_iou <= 1):
             raise ValueError("occlusion_iou must lie in (0, 1]")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
+        # the generator draws from [-jitter, jitter], whose length must be finite
+        if not 0 <= 2 * self.jitter < math.inf:
+            raise ValueError(f"jitter must be non-negative and 2 * jitter finite, got {self.jitter}")
+        for name in ("width", "height"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         for obj in self.objects:
-            if not (np.isfinite(obj.vx) and np.isfinite(obj.vy)):
-                raise ValueError("object velocities must be finite")
+            b = obj.box
+            values = (b.left, b.top, b.right, b.bottom, b.area, obj.vx, obj.vy)
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"object box edges, area and velocity must be finite, got {obj}")
 
 
 @dataclass(frozen=True)
@@ -137,24 +148,6 @@ def generate(spec: ScenarioSpec, noise_seed: int | None = None) -> tuple[GroundT
     return GroundTruth(frames), detections
 
 
-def five_object_crossing() -> ScenarioSpec:
-    """Five objects with a simultaneous three-object and two-object crossing.
-
-    On the upper lane object 0 slowly overtakes the smaller object 1 (a long
-    occlusion, 11 frames) while object 2 sweeps back across both; on the lower
-    lane objects 3 and 4 cross head-on during the same frames. At the heart of
-    the event two objects are hidden per frame.
-    """
-    objects = (
-        MovingObject(BoundingBox.from_center(100.0, 100.0, 44.0, 44.0), 5.0, 0.0),
-        MovingObject(BoundingBox.from_center(160.0, 100.0, 36.0, 36.0), 3.0, 0.0),
-        MovingObject(BoundingBox.from_center(400.0, 100.0, 48.0, 48.0), -6.0, 0.0),
-        MovingObject(BoundingBox.from_center(150.0, 300.0, 40.0, 40.0), 5.0, 0.0),
-        MovingObject(BoundingBox.from_center(450.0, 300.0, 36.0, 36.0), -5.0, 0.0),
-    )
-    return ScenarioSpec(objects=objects, n_frames=46, occlusion_iou=0.5, width=640.0, height=480.0)
-
-
 def occlusion_windows(gt: GroundTruth) -> dict[int, list[tuple[int, int]]]:
     """Maximal invisible runs per object as half-open frame ranges [start, end)."""
     windows: dict[int, list[tuple[int, int]]] = {}
@@ -175,8 +168,10 @@ def occlusion_windows(gt: GroundTruth) -> dict[int, list[tuple[int, int]]]:
     return windows
 
 
-def associate(tracks_by_frame, gt: GroundTruth, iou_min: float = 0.5) -> list[dict[int, int]]:
+def associate(tracks_by_frame, gt: GroundTruth, iou_min: float = IOU_MIN) -> list[dict[int, int]]:
     """Greedy per-frame association: visible object -> max-IOU tracker id."""
+    if not 0 < iou_min <= 1:
+        raise ValueError(f"iou_min must lie in (0, 1], got {iou_min}")
     out = []
     for frame_tracks, frame_gt in zip(tracks_by_frame, gt.frames):
         assoc = {}
@@ -194,7 +189,7 @@ def associate(tracks_by_frame, gt: GroundTruth, iou_min: float = 0.5) -> list[di
     return out
 
 
-def id_switches(tracks_by_frame, gt: GroundTruth, iou_min: float = 0.5) -> int:
+def id_switches(tracks_by_frame, gt: GroundTruth, iou_min: float = IOU_MIN) -> int:
     """Count frames where an object's associated tracker id changes."""
     switches = 0
     last: dict[int, int] = {}
@@ -209,8 +204,8 @@ def id_switches(tracks_by_frame, gt: GroundTruth, iou_min: float = 0.5) -> int:
 def occlusion_survival(
     tracks_by_frame,
     gt: GroundTruth,
-    anti_aging: int = 5,
-    iou_min: float = 0.5,
+    anti_aging: int = TrackConfig.anti_aging,
+    iou_min: float = IOU_MIN,
 ) -> float:
     """Fraction of occlusion windows survived by the pre-occlusion tracker id.
 
@@ -219,6 +214,8 @@ def occlusion_survival(
     reappearance. Windows with no prior association or no reappearance are
     skipped; with no assessable windows the result is 1.0 by convention.
     """
+    if anti_aging < 0:
+        raise ValueError(f"anti_aging must be non-negative, got {anti_aging}")
     assoc = associate(tracks_by_frame, gt, iou_min)
     assessed = 0
     survived = 0
@@ -240,14 +237,43 @@ def occlusion_survival(
     return survived / assessed if assessed else 1.0
 
 
+# header directive -> (ScenarioSpec field, its type) for every field but the
+# objects; the directive for n_frames is "frames"
 _HEADER_KEYS = {
-    "frames": int,
-    "occlusion_iou": float,
-    "jitter": float,
-    "seed": int,
-    "width": float,
-    "height": float,
+    "frames" if name == "n_frames" else name: (name, kind)
+    for name, kind in get_type_hints(ScenarioSpec).items()
+    if name != "objects"
 }
+
+
+def _check(**values) -> None:
+    """Run ScenarioSpec's checks on ``values`` alone: one header value or one object."""
+    ScenarioSpec(**{"objects": (), "n_frames": 1, **values})
+
+
+def _parse_line(words, raw, header: dict, objects: list) -> None:
+    """Add one line's header value or object; the caller adds the location to errors."""
+    key = words[0]
+    if key == "object":
+        if len(words) != 7:
+            raise ValueError("object lines need 'object cx cy w h vx vy'")
+        try:
+            cx, cy, w, h, vx, vy = map(float, words[1:])
+        except ValueError:
+            raise ValueError(f"bad object line {raw!r}") from None
+        objects.append(MovingObject(BoundingBox.from_center(cx, cy, w, h), vx, vy))
+        _check(objects=objects[-1:])
+    elif key in _HEADER_KEYS:
+        if len(words) != 2:
+            raise ValueError(f"expected '{key} value'")
+        name, kind = _HEADER_KEYS[key]
+        try:
+            header[name] = kind(words[1])
+        except ValueError:
+            raise ValueError(f"bad value for {key}: {words[1]!r}") from None
+        _check(**{name: header[name]})
+    else:
+        raise ValueError(f"unknown directive {key!r}")
 
 
 def parse_scenario(path) -> ScenarioSpec:
@@ -255,46 +281,21 @@ def parse_scenario(path) -> ScenarioSpec:
 
     Header lines are ``key value`` for frames, occlusion_iou, jitter, seed,
     width, height; each ``object cx cy w h vx vy`` line adds a moving object.
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored. Every error in a line, a
+    value that ScenarioSpec rejects included, names the line.
     """
     header: dict = {}
     objects: list[MovingObject] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            key = fields[0]
-            if key == "object":
-                if len(fields) != 7:
-                    raise ValueError(
-                        f"{path}:{lineno}: object lines need 'object cx cy w h vx vy'"
-                    )
+            words = raw.split("#", 1)[0].split()
+            if words:
                 try:
-                    cx, cy, w, h, vx, vy = map(float, fields[1:])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad object line {raw!r}") from None
-                objects.append(MovingObject(BoundingBox.from_center(cx, cy, w, h), vx, vy))
-            elif key in _HEADER_KEYS:
-                if len(fields) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected '{key} value'")
-                try:
-                    header[key] = _HEADER_KEYS[key](fields[1])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad value for {key}: {fields[1]!r}") from None
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown directive {key!r}")
-    if "frames" not in header:
+                    _parse_line(words, raw, header, objects)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if "n_frames" not in header:
         raise ValueError(f"{path}: missing required 'frames' header")
     if not objects:
         raise ValueError(f"{path}: scenario has no objects")
-    return ScenarioSpec(
-        objects=tuple(objects),
-        n_frames=header["frames"],
-        occlusion_iou=header.get("occlusion_iou", 0.5),
-        width=header.get("width", 1920.0),
-        height=header.get("height", 1080.0),
-        jitter=header.get("jitter", 1.0),
-        seed=header.get("seed", 0),
-    )
+    return ScenarioSpec(objects=tuple(objects), **header)

@@ -84,14 +84,6 @@ class Tracker:
     age: int = 0
 
     @property
-    def r(self) -> np.ndarray:
-        return self.x[:4]
-
-    @property
-    def r_dot(self) -> np.ndarray:
-        return self.x[4:]
-
-    @property
     def box(self) -> BoundingBox:
         cx, cy, area, aspect = self.x[:4]
         width = math.sqrt(max(area * aspect, MIN_AREA))
@@ -151,9 +143,11 @@ def similarity_matrix(trackers, detections) -> np.ndarray:
     b = _edges([d.box for d in detections])[None, :, :]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = iw * ih
+    # disjoint pairs are left out: far apart, their gaps can overflow a product
+    overlap = (iw > 0) & (ih > 0)
+    inter = np.multiply(iw, ih, out=np.zeros(iw.shape), where=overlap)
     union = a[..., 4] + b[..., 4] - inter
-    return np.divide(inter, union, out=np.zeros(inter.shape), where=(iw > 0) & (ih > 0))
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
 
 
 def _box_to_z(box: BoundingBox) -> np.ndarray:
@@ -184,16 +178,11 @@ def predict(tracker: Tracker) -> Tracker:
     return tracker
 
 
-def update(tracker: Tracker, detection: Detection, measurement_noise=None) -> Tracker:
-    """Kalman measurement update from a detection; resets age to 0.
-
-    Raises ``numpy.linalg.LinAlgError`` on a degenerate innovation covariance,
-    leaving the tracker unmodified.
-    """
-    r = KF_R if measurement_noise is None else np.asarray(measurement_noise)
+def update(tracker: Tracker, detection: Detection) -> Tracker:
+    """Kalman measurement update from a detection; resets age to 0."""
     z = _box_to_z(detection.box)
     innovation = z - KF_H @ tracker.x
-    s_mat = KF_H @ tracker.cov @ KF_H.T + r
+    s_mat = KF_H @ tracker.cov @ KF_H.T + KF_R
     gain = np.linalg.solve(s_mat, KF_H @ tracker.cov).T
     tracker.x = tracker.x + gain @ innovation
     tracker.cov = (np.eye(7) - gain @ KF_H) @ tracker.cov
@@ -203,18 +192,10 @@ def update(tracker: Tracker, detection: Detection, measurement_noise=None) -> Tr
     return tracker
 
 
-def make_sb_solver(params: _sb.SbParams):
-    """Adapter handing :func:`sb.solve_qubo` to the assignment layer."""
-
-    def solver(problem):
-        bits, _ = _sb.solve_qubo(problem, params)
-        return bits
-
-    return solver
-
-
 def make_flexible_assigner(cfg: TrackConfig):
-    solver = make_sb_solver(cfg.sb_params)
+    def solver(problem):
+        # looked up per call, so a wrapper installed on the module is seen
+        return _sb.solve_qubo(problem, cfg.sb_params)[0]
 
     def assigner(s):
         return _assign.flexible_assign(

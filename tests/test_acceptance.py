@@ -5,6 +5,7 @@ lines; every tolerance and threshold is pinned here.
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 
@@ -25,11 +26,11 @@ from flextrack.ising import (
 )
 from flextrack.sb import SbParams, solve_qubo
 from flextrack.scenario import (
-    five_object_crossing,
     generate,
     id_switches,
     occlusion_survival,
     occlusion_windows,
+    parse_scenario,
 )
 from flextrack.track import (
     BoundingBox,
@@ -41,6 +42,8 @@ from flextrack.track import (
 )
 from flextrack.assign import AssignmentResult, TrackerDecision
 
+# five objects: a slow overtake with a sweep across it and a head-on crossing
+FIVE_CROSSING = Path(__file__).resolve().parents[1] / "scenarios" / "five_crossing.txt"
 
 def report(n, name, ok=True):
     print(f"[criterion {n}] {name}: {'PASS' if ok else 'FAIL'}")
@@ -156,7 +159,7 @@ def test_c6_occlusion_survival_five_object_scenario():
     """The flexible pipeline tracks all five objects through the simultaneous
     crossings (0 switches, survival 1.0); the Hungarian baseline loses at
     least one identity."""
-    spec = five_object_crossing()
+    spec = parse_scenario(FIVE_CROSSING)
     gt, detections = generate(spec)
     windows = occlusion_windows(gt)
     assert any(w for w in windows.values()), "scenario produced no occlusions"
@@ -237,7 +240,7 @@ def test_c7_lifecycle_properties():
 
 def test_c8_cmd_track_determinism(tmp_path):
     """Two runs of cmd_track with the same inputs and seed are byte-identical."""
-    spec = five_object_crossing()
+    spec = parse_scenario(FIVE_CROSSING)
     _, detections = generate(spec)
     det_path = tmp_path / "det.txt"
     with open(det_path, "w", encoding="utf-8") as fh:

@@ -1,14 +1,19 @@
 """CLI subcommands, file formats, exit codes."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flextrack
 from flextrack import track
@@ -167,6 +172,64 @@ class TestBadSettings:
         det = write(tmp_path / "det.txt", "1,-1,10,20,30,40,1,-1,-1,-1\n")
         cfg = write(tmp_path / "cfg.txt", "s_min = -inf\n")
         assert main(["track", det, "-o", str(tmp_path / "r.txt"), "--config", cfg]) == 0
+
+
+_MOT_LINES = ["1,-1,10,20,30,40,1,-1,-1,-1", "2,-1,12,20,30,40,1,-1,-1,-1"]
+_SCENE_LINES = [
+    "frames 8", "occlusion_iou 0.5", "jitter 1.0", "width 640", "height 480",
+    "object 100 100 40 40 5 0", "object 200 100 36 36 -5 0",
+]
+_SIMULATE = ["simulate", "BAD", "-o", "OUT"]
+# (argv, lines of the file BAD, their separator, line index, field index) for
+# every float of the inputs; a flag takes VALUE in its argv and has no file.
+# "--flag=-inf" because "-inf" alone would read as a flag.
+_SLOTS = (
+    [
+        (argv, _MOT_LINES, ",", line, field)
+        for argv in (["track", "BAD", "-o", "OUT"], ["eval", "BAD", "GOOD"], ["eval", "GOOD", "BAD"])
+        for line in range(2)
+        for field in range(2, 7)
+    ]
+    + [(_SIMULATE, _SCENE_LINES, " ", line, 1) for line in range(1, 5)]
+    + [(_SIMULATE, _SCENE_LINES, " ", line, word) for line in (5, 6) for word in range(1, 7)]
+    + [
+        (["eval", "GOOD", "GOOD", "--iou-min=VALUE"], None, None, None, None),
+        (["track", "GOOD", "-o", "OUT", "--min-confidence=VALUE"], None, None, None, None),
+    ]
+)
+
+
+class TestNonFiniteValues:
+    """A float in any input file or flag set to nan, +-inf or 1e308: non-finite
+    values exit 2 with one ``error:`` line (naming ``path:line`` for a file);
+    1e308 may also succeed. No traceback, and no warning (an error here)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(slot=st.sampled_from(_SLOTS), value=st.sampled_from(["nan", "inf", "-inf", "1e308"]))
+    def test_exit_code_and_single_error_line(self, slot, value):
+        template, lines, sep, line, field = slot
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: str(Path(tmp) / name) for name in ("GOOD", "BAD", "OUT")}
+            write(Path(paths["GOOD"]), "\n".join(_MOT_LINES) + "\n")
+            if lines is not None:
+                words = lines[line].split(sep)
+                words[field] = value
+                changed = lines[:line] + [sep.join(words)] + lines[line + 1:]
+                write(Path(paths["BAD"]), "\n".join(changed) + "\n")
+            argv = [paths.get(arg, arg.replace("VALUE", value)) for arg in template]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main(argv)
+        errors = stderr.getvalue().splitlines()
+        if value != "1e308":
+            assert rc == 2, (argv, stdout.getvalue())
+        if rc == 2:
+            assert len(errors) == 1 and errors[0].startswith("error: "), errors
+            if lines is not None:
+                assert f"{paths['BAD']}:{line + 1}: " in errors[0], errors
+            assert stdout.getvalue() == ""
+        else:
+            assert rc == 0 and errors == []
 
 
 class TestSolveQubo:
@@ -342,17 +405,9 @@ class TestTrack:
 def five_object_runs(tmp_path_factory):
     """Simulate the five-object crossing and track it with both pipelines."""
     root = tmp_path_factory.mktemp("five")
-    spec = write(
-        root / "scene.txt",
-        "frames 46\nocclusion_iou 0.5\njitter 1.0\nseed 0\nwidth 640\nheight 480\n"
-        "object 100 100 44 44 5 0\n"
-        "object 160 100 36 36 3 0\n"
-        "object 400 100 48 48 -6 0\n"
-        "object 150 300 40 40 5 0\n"
-        "object 450 300 36 36 -5 0\n",
-    )
+    spec = Path(__file__).resolve().parents[1] / "scenarios" / "five_crossing.txt"
     prefix = str(root / "sim")
-    assert main(["simulate", spec, "-o", prefix]) == 0
+    assert main(["simulate", str(spec), "-o", prefix]) == 0
     proposed = str(root / "proposed.txt")
     baseline = str(root / "baseline.txt")
     assert main(["track", prefix + ".det.txt", "-o", proposed]) == 0
@@ -395,6 +450,16 @@ class TestEvalCommand:
         res = write(tmp_path / "res.txt", "\n".join(res_lines) + "\n")
         assert main(["eval", res, gt]) == 0
         assert "id_switches=1" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "flag", ["--iou-min=0", "--iou-min=2", "--iou-min=nan", "--anti-aging=-3"]
+    )
+    def test_meaningless_flag_is_data_error(self, tmp_path, capsys, flag):
+        records = write(tmp_path / "r.txt", "1,0,10.00,10.00,20.00,20.00,1.000000,-1,-1,-1\n")
+        assert main(["eval", records, records, flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
 
 class TestExitCodes:

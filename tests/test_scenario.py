@@ -1,5 +1,8 @@
 """Scenario generation rules and tracking-quality metrics."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from flextrack.scenario import (
@@ -8,7 +11,6 @@ from flextrack.scenario import (
     ScenarioSpec,
     TruthEntry,
     associate,
-    five_object_crossing,
     generate,
     id_switches,
     occlusion_survival,
@@ -22,6 +24,8 @@ from flextrack.track import (
     iou,
     make_baseline_assigner,
 )
+
+FIVE_CROSSING = Path(__file__).resolve().parents[1] / "scenarios" / "five_crossing.txt"
 
 
 def two_object_pass(jitter=0.0, occlusion_iou=0.7):
@@ -115,7 +119,7 @@ class TestGenerate:
 
 class TestFiveObjectCrossing:
     def test_event_structure(self):
-        gt, _ = generate(five_object_crossing())
+        gt, _ = generate(parse_scenario(FIVE_CROSSING))
         windows = occlusion_windows(gt)
         lengths = {obj: [e - s for s, e in w] for obj, w in windows.items() if w}
         # the overtaken object endures a long occlusion, longer than max_age
@@ -131,7 +135,7 @@ class TestFiveObjectCrossing:
     def test_every_window_frame_keeps_occluder_overlap(self):
         # while hidden, an object still overlaps something visible, so the
         # tolerant assignment always has a detection to point at
-        spec = five_object_crossing()
+        spec = parse_scenario(FIVE_CROSSING)
         gt, _ = generate(spec)
         for frame in gt.frames:
             for obj, entry in frame.items():
@@ -271,4 +275,31 @@ class TestParseScenario:
         path = tmp_path / "scene.txt"
         path.write_text("object 0 0 10 10 0 0\n")
         with pytest.raises(ValueError, match="frames"):
+            parse_scenario(path)
+
+    def test_defaults_are_the_spec_defaults(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        path.write_text("frames 5\nobject 100 100 40 40 5 0\n")
+        spec = parse_scenario(path)
+        assert spec == ScenarioSpec(objects=spec.objects, n_frames=5)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "frames 0",
+            "occlusion_iou 2",
+            "jitter nan",
+            "jitter 1e308",  # [-jitter, jitter] is longer than the largest float
+            "width nan",
+            "height -5",
+            "object inf 100 20 20 0 0",
+            "object 100 100 1e308 1e308 0 0",  # the area overflows
+            "object 100 100 nan 20 0 0",
+            "object 100 100 20 20 0 inf",
+        ],
+    )
+    def test_rejected_value_names_line(self, tmp_path, line):
+        path = tmp_path / "scene.txt"
+        path.write_text(f"frames 5\n{line}\nobject 100 100 40 40 5 0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
             parse_scenario(path)
