@@ -152,25 +152,20 @@ def _optimal_sum(s: np.ndarray) -> float:
     return float(s[rows, cols].sum())
 
 
-def _optima_without_each(rest: np.ndarray) -> np.ndarray:
-    """The optimum of ``rest`` with each column taken out, from one assignment.
+def _column_losses(rest: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """How far the optimum of ``rest`` drops when each column is taken out.
 
-    ``rest`` must have no negative entry, so that a partial assignment extends
-    to a full one without losing value. Let ``A`` be an optimal assignment of
-    ``rest``, of value ``V``. Taking out a column nobody in ``A`` holds costs
+    ``rows, cols`` is an optimal assignment ``A`` of ``rest``, which must have
+    no negative entry, so that a partial assignment extends to a full one
+    without losing value. Taking out a column nobody in ``A`` holds costs
     nothing. Taking out the column of row ``h`` costs what ``h`` had on it,
     less ``gain[h]``: the most ``h`` wins back by moving to an unused column,
     to none, or to another holder's column, whose holder then moves on in
     turn. ``A`` is optimal, so no chain of such moves gains by closing a cycle,
     and the gains are longest paths, found by relaxing to a fixpoint.
     """
-    n_rows, n_cols = rest.shape
-    if n_rows == 0:
-        return np.zeros(n_cols)
-    rows, cols = linear_sum_assignment(rest, maximize=True)
     held = rest[rows, cols]
-    value = float(held.sum())
-    unused = np.ones(n_cols, dtype=bool)
+    unused = np.ones(rest.shape[1], dtype=bool)
     unused[cols] = False
     moves = rest[rows]
     gain = moves[:, unused].max(axis=1, initial=0.0)
@@ -182,9 +177,111 @@ def _optima_without_each(rest: np.ndarray) -> np.ndarray:
         if np.array_equal(relaxed, gain):
             break
         gain = relaxed
-    optima = np.full(n_cols, value)
-    optima[cols] = value - held + gain
-    return optima
+    losses = np.zeros(rest.shape[1])
+    losses[cols] = held - gain
+    return losses
+
+
+def _overlap_components(s: np.ndarray) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
+    """The connected components of the bipartite graph of the pairs with ``s > 0``.
+
+    Returns each row's and each column's component, -1 for one in no such
+    pair, then each component's rows and its columns in index order.
+    """
+    n_t, n_d = s.shape
+    rows, cols = np.nonzero(s > 0)
+    nodes = rows.tolist() + (cols + n_t).tolist()
+    parent = list(range(n_t + n_d))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in zip(nodes[: rows.size], nodes[rows.size :]):
+        parent[find(a)] = find(b)
+    node_comp = [-1] * (n_t + n_d)
+    comp_rows: list[list[int]] = []
+    comp_cols: list[list[int]] = []
+    for x in sorted(set(nodes)):
+        root = find(x)
+        if node_comp[root] < 0:
+            node_comp[root] = len(comp_rows)
+            comp_rows.append([])
+            comp_cols.append([])
+        c = node_comp[x] = node_comp[root]
+        if x < n_t:
+            comp_rows[c].append(x)
+        else:
+            comp_cols[c].append(x - n_t)
+    return node_comp[:n_t], node_comp[n_t:], comp_rows, comp_cols
+
+
+class _LaterOptima:
+    """``R(d)`` for every free detection, cached per overlap component.
+
+    For a matrix with no negative entry, the optimum ``V`` of the later
+    trackers (those after ``t``) over the free detections is the sum of each
+    overlap component's own optimum ``values[c]``, since a pair across
+    components is worth 0. Taking detection ``d`` out lowers only its own
+    component's optimum, by ``loss[d]``, so ``R(d) = V - loss[d]``. One
+    assignment of a component's sub-matrix refreshes its value and the losses
+    of its free detections (:func:`_column_losses`). Taking a detection lowers
+    its component's value by its loss, which keeps the value exact but leaves
+    the component's other losses stale until the next refresh.
+    """
+
+    def __init__(self, s: np.ndarray, free: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        # rows, cols: an optimal assignment of all of s, before any tracker is fixed
+        self.s = s
+        self.free = free
+        self.t = -1
+        self.row_comp, self.col_comp, self.comp_rows, comp_cols = _overlap_components(s)
+        self.comp_cols = [np.array(c) for c in comp_cols]
+        self.loss = _column_losses(s, rows, cols)
+        # an optimal assignment holds each component's optimum on its pairs there
+        held = s[rows, cols]
+        inside = held > 0
+        comp_of = np.array(self.row_comp, dtype=np.intp)[rows[inside]]
+        self.values = np.bincount(comp_of, held[inside], len(self.comp_rows)).tolist()
+        self.stale: set[int] = set()
+
+    def refresh(self, c: int) -> list[int]:
+        """Re-solve component ``c``; return its free detections in index order."""
+        later = [r for r in self.comp_rows[c] if r > self.t]
+        cols = self.comp_cols[c][self.free[self.comp_cols[c]]]
+        if not later or cols.size == 0:
+            self.values[c] = 0.0
+            self.loss[cols] = 0.0
+        else:
+            rest = self.s[later][:, cols]
+            if len(later) == 1:
+                # one tracker holds its best detection
+                held = np.zeros(1, dtype=np.intp), rest.argmax(axis=1)
+            else:
+                held = linear_sum_assignment(rest, maximize=True)
+            self.values[c] = float(rest[held].sum())
+            self.loss[cols] = _column_losses(rest, *held)
+        self.stale.discard(c)
+        return cols.tolist()
+
+    def leave(self, t: int) -> list[int]:
+        """Make tracker ``t`` no longer later; return the free detections of its component."""
+        self.t = t
+        c = self.row_comp[t]
+        return self.refresh(c) if c >= 0 else []
+
+    def refresh_stale(self) -> None:
+        for c in sorted(self.stale):
+            self.refresh(c)
+
+    def take(self, d: int) -> None:
+        """Detection ``d``, whose loss is up to date, is no longer free."""
+        c = self.col_comp[d]
+        # a component with no later tracker is worth 0 with or without d
+        if c >= 0 and self.comp_rows[c][-1] > self.t:
+            self.values[c] -= float(self.loss[d])
+            self.stale.add(c)
 
 
 def hungarian(s) -> np.ndarray:
@@ -196,48 +293,64 @@ def hungarian(s) -> np.ndarray:
     R(d)`` reaches ``total - _TIE_TOL``, with ``R(d)`` the optimum of the later
     trackers over the free detections other than ``d``.
 
-    When no entry of ``s`` is negative, one LSA of the later trackers over all
-    free detections, of value ``V``, gives ``R(d)`` for every candidate at once
-    (:func:`_optima_without_each`): ``R(d) = V`` if nobody in that assignment
-    holds ``d``; otherwise ``V - s[h, d] + g <= R(d) <= V`` for its holder
-    ``h`` and ``h``'s best entry ``g`` on a free detection the assignment
-    leaves unused, and relaxing ``h``'s moves through the other holders closes
-    the gap. A candidate whose ``R(d)`` clears the threshold, or misses it, by
-    more than a rounding margin is taken or skipped on it. The others, and
-    every candidate when ``s`` has a negative entry, take the exact test: a
-    fresh LSA over the later trackers and the free detections without ``d``.
+    When no entry of ``s`` is negative, ``R(d) = V - loss[d]`` comes from
+    optima cached per overlap component (:class:`_LaterOptima`), and each
+    tracker re-solves only its own component once it is no longer later. If
+    ``fixed + V`` then falls short of the threshold by more than a rounding
+    margin, no zero-similarity candidate can reach it, and only the free
+    detections of the tracker's own component are tested: a tracker alone
+    with one detection takes it with no LSA. Otherwise the components that
+    earlier trackers took a detection from are re-solved, and every free
+    detection is tested. A candidate whose ``reach`` clears the threshold, or
+    misses it, by more than the margin is taken or skipped on it. The others,
+    and every candidate when ``s`` has a negative entry, take the exact test:
+    a fresh LSA over the later trackers and the free detections without ``d``.
     """
     s = _validate_similarity(s)
     n_t, n_d = s.shape
-    total = _optimal_sum(s)
-    nonnegative = not (s < 0).any()
+    rows, cols = linear_sum_assignment(s, maximize=True)
+    threshold = float(s[rows, cols].sum()) - _TIE_TOL
     # rounding: a sum compared has at most 2 (n_t + n_d + 2) terms, none above max |s|
     slack = 4 * (n_t + n_d + 2) ** 2 * np.finfo(np.float64).eps * float(np.abs(s).max())
     table = np.zeros((n_t, n_d), dtype=np.int64)
-    free = np.arange(n_d)
+    free = np.ones(n_d, dtype=bool)
+    n_free = n_d
+    later = None if (s < 0).any() else _LaterOptima(s, free, rows, cols)
     fixed = 0.0
     for t in range(n_t):
-        if free.size == 0:
+        if n_free == 0:
             break  # every later tracker stays unmatched
-        if nonnegative:
-            reach = fixed + s[t, free] + _optima_without_each(s[t + 1 :][:, free])
-            sure = reach >= total - _TIE_TOL + slack
-            possible = reach >= total - _TIE_TOL - slack
+        if later is None:
+            candidates = np.flatnonzero(free).tolist()
         else:
-            sure = np.zeros(free.size, dtype=bool)
-            possible = np.ones(free.size, dtype=bool)
-        first_sure = int(np.argmax(sure)) if sure.any() else free.size
-        chosen = first_sure if first_sure < free.size else None
-        for i in np.flatnonzero(possible[:first_sure]):
-            rest = np.delete(free, i)
-            if fixed + s[t, free[i]] + _optimal_sum(s[t + 1 :, rest]) >= total - _TIE_TOL:
-                chosen = i
+            candidates = later.leave(t)
+            if fixed + sum(later.values) >= threshold - slack:
+                # a zero-similarity candidate may reach the threshold too
+                later.refresh_stale()
+                candidates = np.flatnonzero(free).tolist()
+            value = sum(later.values)
+        chosen = None
+        for d in candidates:
+            if later is None:
+                sure, possible = False, True
+            else:
+                reach = fixed + s[t, d] + (value - later.loss[d])
+                sure = reach >= threshold + slack
+                possible = reach >= threshold - slack
+            if possible and not sure:
+                rest = free.copy()
+                rest[d] = False
+                sure = fixed + s[t, d] + _optimal_sum(s[t + 1 :, rest]) >= threshold
+            if sure:
+                chosen = d
                 break
         if chosen is not None:
-            d = free[chosen]
-            table[t, d] = 1
-            fixed += s[t, d]
-            free = np.delete(free, chosen)
+            table[t, chosen] = 1
+            fixed += s[t, chosen]
+            free[chosen] = False
+            n_free -= 1
+            if later is not None:
+                later.take(chosen)
         # otherwise every optimal assignment leaves tracker t unmatched
     return table
 

@@ -72,8 +72,12 @@ def parse_mot_line(line: str) -> MotRecord:
         raise ValueError(f"frame numbers must be positive, got {frame}")
     if not all(map(math.isfinite, (left, top, width, height, confidence))):
         raise ValueError("box and confidence fields must be finite")
-    if not all(map(math.isfinite, (left + width, top + height, width * height))):
-        raise ValueError("the box's right edge, bottom edge or area overflows")
+    if not (width > 0 and height > 0):
+        raise ValueError(f"box width/height must be positive, got {width:g} x {height:g}")
+    # IOU adds two boxes' areas, and a tracker's box squares its sides
+    derived = (left + width, top + height, 2 * width * height, width * width, height * height)
+    if not all(map(math.isfinite, derived)):
+        raise ValueError("the box's right edge, bottom edge, doubled area or squared sides overflow")
     return MotRecord(frame, track_id, left, top, width, height, confidence)
 
 

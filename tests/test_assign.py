@@ -133,10 +133,22 @@ _QUANTIZED = (
 
 @st.composite
 def similarity_matrices(draw):
-    n_t = draw(st.integers(1, 24))
-    n_d = draw(st.integers(1, 24))
-    kind = draw(st.sampled_from(["quantized", "sparse", "negative", "normal"]))
+    kind = draw(st.sampled_from(["quantized", "sparse", "negative", "normal", "blocks"]))
+    n_max = 40 if kind == "blocks" else 24
+    n_t = draw(st.integers(1, n_max))
+    n_d = draw(st.integers(1, n_max))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "blocks":
+        # positive pairs only inside random row and column groups, as in a
+        # frame of separate overlap clusters
+        groups = draw(st.integers(1, 8))
+        inside = rng.integers(groups, size=(n_t, 1)) == rng.integers(groups, size=(1, n_d))
+        inside &= rng.uniform(size=(n_t, n_d)) < draw(st.sampled_from([0.3, 0.6, 1.0]))
+        if draw(st.booleans()):
+            values = rng.choice(draw(st.sampled_from(_QUANTIZED[:-1])), size=(n_t, n_d))
+        else:
+            values = rng.uniform(size=(n_t, n_d))
+        return np.where(inside, values, 0.0)
     if kind == "quantized":
         values = draw(st.sampled_from(_QUANTIZED[:-1]))
         return rng.choice(values, size=(n_t, n_d))
@@ -312,6 +324,39 @@ class TestHungarian:
     def test_identical_to_loop_oracle_128(self):
         s = sparse_iou_like(np.random.default_rng(128), 128, 128, 0.05)
         assert np.array_equal(hungarian(s), loop_hungarian(s))
+
+    def test_identical_to_loop_oracle_crowd(self):
+        # a crowd frame's size: more trackers than detections, 2 % overlapping
+        s = sparse_iou_like(np.random.default_rng(72), 72, 60, 0.02)
+        assert np.array_equal(hungarian(s), loop_hungarian(s))
+
+    def test_tie_across_clusters(self):
+        # tracker 0 ties between the lone detection 0 and detection 1, so it
+        # parks on detection 0 and tracker 1 keeps detection 1; solving each
+        # overlap cluster on its own would give tracker 0 detection 1 instead
+        s = np.array([[0.0, 0.3], [0.0, 0.3]])
+        assert hungarian(s).tolist() == [[1, 0], [0, 1]]
+        result = hungarian_assign(s)
+        assert [d.state for d in result.decisions] == [TrackerState.UNMATCH, TrackerState.MATCH]
+        assert result.decisions[1].detection == 1
+        assert result.unmatched_detections == [0]
+
+    @pytest.mark.parametrize("n_t,n_d", [(4, 4), (3, 6), (6, 3)])
+    def test_diagonal_only(self, n_t, n_d):
+        # every overlap component is one tracker and one detection
+        s = np.zeros((n_t, n_d))
+        k = min(n_t, n_d)
+        s[np.arange(k), np.arange(k)] = np.linspace(0.2, 0.9, k)
+        table = hungarian(s)
+        assert np.array_equal(table, loop_hungarian(s))
+        assert table.tolist() == np.eye(n_t, n_d, dtype=np.int64).tolist()
+
+    @pytest.mark.parametrize("n_t,n_d", [(1, 1), (3, 5), (5, 3)])
+    def test_all_zero(self, n_t, n_d):
+        # no overlap at all: trackers take the detections in index order
+        table = hungarian(np.zeros((n_t, n_d)))
+        assert np.array_equal(table, loop_hungarian(np.zeros((n_t, n_d))))
+        assert table.tolist() == np.eye(n_t, n_d, dtype=np.int64).tolist()
 
     def test_exhaustive_agreement_small(self):
         rng = np.random.default_rng(2)

@@ -72,6 +72,38 @@ class TestMotFormat:
             read_mot_file(path)
 
 
+class TestBoxRejections:
+    """A box whose doubled area or squared sides overflow, or whose width or
+    height is not positive, exits 2 with one ``error:`` line naming
+    ``path:line``, no output and no warning (an error here)."""
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            "0,0,1e154,1e154",  # two such areas overflow IOU's union
+            "0,0,1.5e154,1e150",  # a tracker's box squares the width
+            "0,0,1e150,1.5e154",
+            "5,5,0.00,10",  # a tracker narrower than 0.005 px, as track writes it
+            "5,5,10,-1",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["track", "eval"])
+    def test_single_error_naming_the_line(self, tmp_path, capsys, box, command):
+        good = "1,1,0,0,10,10,1,-1,-1,-1"
+        bad = write(tmp_path / "bad.txt", f"{good}\n2,1,{box},1,-1,-1,-1\n")
+        out = tmp_path / "out.txt"
+        if command == "track":
+            argv = ["track", bad, "-o", str(out)]
+        else:
+            # frame 2 lies past the one-frame ground truth and is rejected all the same
+            argv = ["eval", bad, write(tmp_path / "gt.txt", good + "\n")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}:2: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
+
 class TestConfig:
     def test_full_config(self, tmp_path):
         path = write(
