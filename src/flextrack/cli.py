@@ -188,9 +188,12 @@ def cmd_track(args) -> int:
             result: AssignmentResult = tracker.step(detections)
             for t in sorted(tracker.trackers, key=lambda t: t.id):
                 box = t.box
-                out_records.append(
-                    MotRecord(frame, t.id, box.left, box.top, box.width, box.height, 1.0)
-                )
+                # a side that would print as 0.00 could not be read back;
+                # round(x, 2) rounds as the 2-decimal format does
+                if round(box.width, 2) > 0 and round(box.height, 2) > 0:
+                    out_records.append(
+                        MotRecord(frame, t.id, box.left, box.top, box.width, box.height, 1.0)
+                    )
             diag_rows.append(
                 f"{frame},{len(result.decisions)},{len(detections)},"
                 f"{result.energy_large:.9g},{result.energy_small:.9g},"

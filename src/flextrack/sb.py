@@ -18,12 +18,12 @@ Initialization: positions start at zero and momenta are drawn uniformly from
 ``[-init_noise, +init_noise]`` with numpy's default generator seeded from
 ``SbParams.seed``, so a solve is fully deterministic for a fixed seed.
 
-:func:`sb_step` is the one-step reference. :func:`solve_ising` runs one
-fused loop over in-place ``x`` and ``y`` arrays: no state object per step,
-the detuning evaluated once per step index before the loop, and ``eta * h``
-computed once. It performs the reference's floating-point operations in the
-same order, so with a dense coupling its spins are bit-identical to iterating
-:func:`sb_step`.
+:func:`solve_ising` runs one fused loop over in-place ``x`` and ``y``
+arrays: no state object per step, the detuning evaluated once per step index
+before the loop, and ``eta * h`` computed once. It performs the floating-point
+operations of the step above in the order written, so with a dense coupling
+its spins are bit-identical to iterating a one-step reference (``sb_step`` in
+the tests).
 
 Restarts are independent trajectories, so they are the rows of one
 ``(restarts, n)`` state and the loop steps them all at once. One draw of
@@ -112,38 +112,6 @@ class SbParams:
 # thresholds of the product rule in _coupling; 2**17 entries are 1 MiB of float64
 _DENSE_MAX_ENTRIES = 1 << 17
 _CSR_MAX_FILL = 8
-
-
-@dataclass(frozen=True)
-class SbState:
-    """Oscillator positions, momenta, and the index of the next step."""
-
-    x: np.ndarray
-    y: np.ndarray
-    k: int = 0
-
-
-def sb_step(state: SbState, p: IsingProblem, params: SbParams) -> SbState:
-    """Advance the oscillator network by one time step."""
-    if state.x.shape != (p.n,) or state.y.shape != (p.n,):
-        raise ValueError(
-            f"state dimension {state.x.shape} does not match problem size {p.n}"
-        )
-    a_k = params.a0 * state.k / params.n_steps
-    y = state.y + (
-        -(params.a0 - a_k) * state.x - params.eta * p.h + params.c0 * (p.j @ state.x)
-    ) * params.dt
-    x = state.x + params.a0 * y * params.dt
-    over = np.abs(x) > 1.0
-    if over.any():
-        x = np.where(over, np.sign(x), x)
-        y = np.where(over, 0.0, y)
-    return SbState(x=x, y=y, k=state.k + 1)
-
-
-def initial_state(n: int, rng: np.random.Generator, init_noise: float) -> SbState:
-    """Zero positions with small uniform momentum noise to break symmetry."""
-    return SbState(x=np.zeros(n), y=rng.uniform(-init_noise, init_noise, size=n), k=0)
 
 
 def _digitize(x: np.ndarray) -> np.ndarray:

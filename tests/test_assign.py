@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from flextrack.assign import (
+    DEFAULT_S_MIN,
+    TrackerDecision,
     TrackerState,
     build_assignment_qubo,
     check_one_to_one,
@@ -85,43 +88,41 @@ def brute_solver(problem):
     return brute_force_qubo(problem)[0]
 
 
-def _loop_optimal_sum(s):
-    if s.shape[0] == 0 or s.shape[1] == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(s, maximize=True)
-    return float(s[rows, cols].sum())
-
-
-def loop_hungarian(s):
-    """The tie-break as one LSA per (tracker, candidate) pair: ``hungarian``'s oracle."""
-    s = np.asarray(s, dtype=np.float64)
-    n_t, n_d = s.shape
-    total = _loop_optimal_sum(s)
-    table = np.zeros((n_t, n_d), dtype=np.int64)
-    free = list(range(n_d))
-    fixed = 0.0
-    for t in range(n_t):
-        chosen = None
-        for d in free:
-            rest = [c for c in free if c != d]
-            if fixed + s[t, d] + _loop_optimal_sum(s[t + 1 :, rest]) >= total - 1e-9:
-                chosen = d
-                break
-        if chosen is not None:
-            table[t, chosen] = 1
-            free.remove(chosen)
-            fixed += s[t, chosen]
-    return table
-
-
 def sparse_iou_like(rng, n_t, n_d, fill):
     """Mostly zeros, as IOU between predicted boxes and detections is."""
     return np.where(rng.uniform(size=(n_t, n_d)) < fill, rng.uniform(size=(n_t, n_d)), 0.0)
 
 
-# small value sets make exact ties and zeros common; the fourth puts sums near
-# the tie tolerance, and the last holds negatives, where hungarian falls back
-# to the exact test for every candidate
+def assert_hungarian_contract(s, s_min=DEFAULT_S_MIN):
+    """``hungarian`` gives an optimal one-to-one table and ``hungarian_assign``
+    MATCHes exactly its pairs at or above ``s_min``."""
+    n_t, n_d = s.shape
+    table = hungarian(s)
+    assert table.dtype == np.int64
+    assert check_one_to_one(table) and table.sum() == min(n_t, n_d)
+    total = float((s * table).sum())
+    # scipy's sparse matching is an independent optimum: costs shifted to at
+    # least 1 keep every pair an edge and order full matchings as -s does
+    rows, cols = min_weight_full_bipartite_matching(csr_array(s.max() - s + 1.0))
+    assert abs(total - float(s[rows, cols].sum())) <= 1e-9
+    if n_t * n_d <= 12:
+        best = max(float((s * t).sum()) for t in all_tables(n_t, n_d) if check_one_to_one(t))
+        assert abs(total - best) <= 1e-9
+    result = hungarian_assign(s, s_min=s_min)
+    matched = []
+    for t, decision in enumerate(result.decisions):
+        d = int(np.flatnonzero(table[t])[0]) if table[t].any() else None
+        if d is not None and s[t, d] >= s_min:
+            assert decision == TrackerDecision(TrackerState.MATCH, d)
+            matched.append(d)
+        else:
+            assert decision == TrackerDecision(TrackerState.UNMATCH)
+    assert len(matched) == len(set(matched))
+    assert result.unmatched_detections == sorted(set(range(n_d)) - set(matched))
+
+
+# small value sets make exact ties and zeros common; the fourth puts sums
+# within 1e-9 of each other, and the last holds negatives
 _QUANTIZED = (
     (0.0, 0.5, 1.0),
     (0.0, 0.1, 0.2, 0.3),
@@ -132,9 +133,9 @@ _QUANTIZED = (
 
 
 @st.composite
-def similarity_matrices(draw):
+def similarity_matrices(draw, max_side=None):
     kind = draw(st.sampled_from(["quantized", "sparse", "negative", "normal", "blocks"]))
-    n_max = 40 if kind == "blocks" else 24
+    n_max = max_side or (40 if kind == "blocks" else 24)
     n_t = draw(st.integers(1, n_max))
     n_d = draw(st.integers(1, n_max))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -317,28 +318,25 @@ class TestHungarian:
         assert table.tolist() == [[0, 0, 1]]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(similarity_matrices())
-    def test_identical_to_loop_oracle(self, s):
-        assert np.array_equal(hungarian(s), loop_hungarian(s))
+    @given(st.one_of(similarity_matrices(max_side=4), similarity_matrices()))
+    def test_contract(self, s):
+        assert_hungarian_contract(s)
 
-    def test_identical_to_loop_oracle_128(self):
-        s = sparse_iou_like(np.random.default_rng(128), 128, 128, 0.05)
-        assert np.array_equal(hungarian(s), loop_hungarian(s))
+    def test_contract_128(self):
+        assert_hungarian_contract(sparse_iou_like(np.random.default_rng(128), 128, 128, 0.05))
 
-    def test_identical_to_loop_oracle_crowd(self):
+    def test_contract_crowd(self):
         # a crowd frame's size: more trackers than detections, 2 % overlapping
-        s = sparse_iou_like(np.random.default_rng(72), 72, 60, 0.02)
-        assert np.array_equal(hungarian(s), loop_hungarian(s))
+        assert_hungarian_contract(sparse_iou_like(np.random.default_rng(72), 72, 60, 0.02))
 
-    def test_tie_across_clusters(self):
-        # tracker 0 ties between the lone detection 0 and detection 1, so it
-        # parks on detection 0 and tracker 1 keeps detection 1; solving each
-        # overlap cluster on its own would give tracker 0 detection 1 instead
+    def test_exact_tie_decisions(self):
+        # both optima pair detection 1 with one tracker and detection 0 with
+        # the other; scipy gives detection 1 to tracker 0, and the gate leaves
+        # tracker 1 unmatched on its zero pair
         s = np.array([[0.0, 0.3], [0.0, 0.3]])
-        assert hungarian(s).tolist() == [[1, 0], [0, 1]]
         result = hungarian_assign(s)
-        assert [d.state for d in result.decisions] == [TrackerState.UNMATCH, TrackerState.MATCH]
-        assert result.decisions[1].detection == 1
+        assert [d.state for d in result.decisions] == [TrackerState.MATCH, TrackerState.UNMATCH]
+        assert result.decisions[0].detection == 1
         assert result.unmatched_detections == [0]
 
     @pytest.mark.parametrize("n_t,n_d", [(4, 4), (3, 6), (6, 3)])
@@ -347,15 +345,12 @@ class TestHungarian:
         s = np.zeros((n_t, n_d))
         k = min(n_t, n_d)
         s[np.arange(k), np.arange(k)] = np.linspace(0.2, 0.9, k)
-        table = hungarian(s)
-        assert np.array_equal(table, loop_hungarian(s))
-        assert table.tolist() == np.eye(n_t, n_d, dtype=np.int64).tolist()
+        assert hungarian(s).tolist() == np.eye(n_t, n_d, dtype=np.int64).tolist()
 
     @pytest.mark.parametrize("n_t,n_d", [(1, 1), (3, 5), (5, 3)])
     def test_all_zero(self, n_t, n_d):
-        # no overlap at all: trackers take the detections in index order
+        # no overlap at all: scipy pairs trackers and detections in index order
         table = hungarian(np.zeros((n_t, n_d)))
-        assert np.array_equal(table, loop_hungarian(np.zeros((n_t, n_d))))
         assert table.tolist() == np.eye(n_t, n_d, dtype=np.int64).tolist()
 
     def test_exhaustive_agreement_small(self):

@@ -382,6 +382,20 @@ class TestTrack:
         # the frame-1 tracker dies of old age before frame 9, so a new id appears
         assert {r.track_id for r in records if r.frame == 9} == {2}
 
+    def test_output_with_a_thin_tracker_reads_back(self, tmp_path):
+        # a tracker 0.004 px wide would print with width 0.00, which no
+        # reader accepts, so it is left out; the other tracker is written
+        rows = "".join(
+            f"{f},-1,10,20,0.004,40,1,-1,-1,-1\n{f},-1,200,20,30,40,1,-1,-1,-1\n" for f in (1, 2)
+        )
+        det = write(tmp_path / "det.txt", rows)
+        out = str(tmp_path / "res.txt")
+        for extra in ([], ["--baseline"]):
+            assert main(["track", det, "-o", out] + extra) == 0
+            assert [(r.frame, r.left) for r in read_mot_file(out)] == [(1, 200.0), (2, 200.0)]
+            assert main(["track", out, "-o", str(tmp_path / "again.txt")]) == 0
+            assert main(["eval", out, det]) == 0
+
     def test_diagnostics_sidecar(self, tmp_path):
         det = write(tmp_path / "det.txt", "1,-1,10,20,30,40,1,-1,-1,-1\n")
         out = str(tmp_path / "res.txt")
