@@ -51,6 +51,9 @@ class TrackerDecision:
     detection: int | None = None
 
 
+UNMATCH = TrackerDecision(TrackerState.UNMATCH)
+
+
 @dataclass
 class AssignmentResult:
     """Per-tracker decisions plus the raw material they were derived from.
@@ -193,28 +196,24 @@ def _arbitrate(
     s_min: float,
 ) -> tuple[list[TrackerDecision], list[int]]:
     n_t, n_d = s.shape
-    decisions: list[TrackerDecision | None] = [None] * n_t
+    large = table_large != 0
+    single = large.sum(axis=1) == 1
+    d_large = large.argmax(axis=1)
+    # gate weak matches out entirely (to UNMATCH); gating never promotes
+    match = single & ~(s[np.arange(n_t), d_large] < s_min)
     claimed = np.zeros(n_d, dtype=bool)
-    for t in range(n_t):
-        hit = np.flatnonzero(table_large[t])
-        if len(hit) == 1:
-            d = int(hit[0])
-            if s[t, d] < s_min:
-                # gate weak matches out entirely; gating never promotes
-                decisions[t] = TrackerDecision(TrackerState.UNMATCH)
-            else:
-                decisions[t] = TrackerDecision(TrackerState.MATCH, d)
-                claimed[d] = True
-    for t in range(n_t):
-        if decisions[t] is not None:
-            continue
-        # park only behind a detection a MATCH claimed; an unclaimed one spawns
-        candidates = np.flatnonzero(claimed & (table_small[t] != 0))
-        if len(candidates) > 0:
-            d = int(candidates[np.argmax(s[t, candidates])])
-            decisions[t] = TrackerDecision(TrackerState.POTENTIAL_MATCH, d)
-        else:
-            decisions[t] = TrackerDecision(TrackerState.UNMATCH)
+    claimed[d_large[match]] = True
+    # a row without exactly one strict bit parks only behind a detection a
+    # MATCH claimed, the most similar one; an unclaimed detection spawns.
+    # The callers validate ``s`` finite, so only non-candidates read -inf.
+    candidates = claimed & (table_small != 0)
+    park = ~single & candidates.any(axis=1)
+    d_small = np.where(candidates, s, -np.inf).argmax(axis=1)
+    decisions = [UNMATCH] * n_t
+    for t, d in zip(np.flatnonzero(match).tolist(), d_large[match].tolist()):
+        decisions[t] = TrackerDecision(TrackerState.MATCH, d)
+    for t, d in zip(np.flatnonzero(park).tolist(), d_small[park].tolist()):
+        decisions[t] = TrackerDecision(TrackerState.POTENTIAL_MATCH, d)
     unmatched_detections = np.flatnonzero(~claimed).tolist()
     return decisions, unmatched_detections
 

@@ -35,6 +35,16 @@ KF_P0 = np.diag([10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4])
 
 MIN_AREA = 1e-6
 
+# The covariance recursion reads neither the state nor the detection, and
+# trackers keep reaching the same covariances, so predict's F P F' + Q and
+# update's gain and (I - K H) P are memoized by the covariance's bytes. Each
+# entry is computed from the first tracker's own array and shared read-only by
+# every tracker that reaches it. Trackers left unmatched for long stretches
+# keep adding covariances, so a table is emptied once it holds this many.
+KALMAN_MEMO_SIZE = 4096
+_predict_memo: dict[bytes, np.ndarray] = {}
+_update_memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -80,7 +90,7 @@ class Tracker:
 
     id: int
     x: np.ndarray  # (cx, cy, area, aspect, v_cx, v_cy, v_area)
-    cov: np.ndarray
+    cov: np.ndarray  # after predict or update, a read-only array other trackers share
     age: int = 0
 
     @property
@@ -132,6 +142,17 @@ def _edges(boxes) -> np.ndarray:
     return np.array([(b.left, b.top, b.right, b.bottom, b.area) for b in boxes]).reshape(-1, 5)
 
 
+def _tracker_edges(trackers) -> np.ndarray:
+    """``_edges`` of the trackers' boxes, bit for bit, from one stack of their states."""
+    cx, cy, area, aspect = np.array([t.x for t in trackers]).reshape(-1, 7)[:, :4].T
+    # Tracker.box's operations in its order
+    width = np.sqrt(np.maximum(area * aspect, MIN_AREA))
+    height = np.maximum(area, MIN_AREA) / width
+    left = cx - width / 2.0
+    top = cy - height / 2.0
+    return np.column_stack([left, top, left + width, top + height, width * height])
+
+
 def similarity_matrix(trackers, detections) -> np.ndarray:
     """IOU of every tracker's predicted box with every detection's box.
 
@@ -139,7 +160,7 @@ def similarity_matrix(trackers, detections) -> np.ndarray:
     pairs are computed in one broadcast pass with :func:`iou`'s operations in
     its order, as SORT batches them.
     """
-    a = _edges([t.box for t in trackers])[:, None, :]
+    a = _tracker_edges(trackers)[:, None, :]
     b = _edges([d.box for d in detections])[None, :, :]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
@@ -163,6 +184,31 @@ def new_tracker(detection: Detection, tracker_id: int) -> Tracker:
     return Tracker(id=tracker_id, x=x, cov=KF_P0.copy(), age=0)
 
 
+def _memoized(memo: dict, cov: np.ndarray, compute):
+    key = cov.tobytes()
+    entry = memo.get(key)
+    if entry is None:
+        if len(memo) >= KALMAN_MEMO_SIZE:
+            memo.clear()
+        entry = memo[key] = compute(cov)
+    return entry
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _predicted_cov(cov: np.ndarray) -> np.ndarray:
+    return _read_only(KF_F @ cov @ KF_F.T + KF_Q)
+
+
+def _gain_and_updated_cov(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s_mat = KF_H @ cov @ KF_H.T + KF_R
+    gain = _read_only(np.linalg.solve(s_mat, KF_H @ cov).T)
+    return gain, _read_only((np.eye(7) - gain @ KF_H) @ cov)
+
+
 def predict(tracker: Tracker) -> Tracker:
     """Constant-velocity Kalman prediction; increments age. Mutates in place.
 
@@ -172,7 +218,7 @@ def predict(tracker: Tracker) -> Tracker:
     if tracker.x[2] + tracker.x[6] <= 0:
         tracker.x[6] = 0.0
     tracker.x = KF_F @ tracker.x
-    tracker.cov = KF_F @ tracker.cov @ KF_F.T + KF_Q
+    tracker.cov = _memoized(_predict_memo, tracker.cov, _predicted_cov)
     tracker.x[3] = max(tracker.x[3], MIN_AREA)
     tracker.age += 1
     return tracker
@@ -182,10 +228,8 @@ def update(tracker: Tracker, detection: Detection) -> Tracker:
     """Kalman measurement update from a detection; resets age to 0."""
     z = _box_to_z(detection.box)
     innovation = z - KF_H @ tracker.x
-    s_mat = KF_H @ tracker.cov @ KF_H.T + KF_R
-    gain = np.linalg.solve(s_mat, KF_H @ tracker.cov).T
+    gain, tracker.cov = _memoized(_update_memo, tracker.cov, _gain_and_updated_cov)
     tracker.x = tracker.x + gain @ innovation
-    tracker.cov = (np.eye(7) - gain @ KF_H) @ tracker.cov
     tracker.x[2] = max(tracker.x[2], MIN_AREA)
     tracker.x[3] = max(tracker.x[3], MIN_AREA)
     tracker.age = 0
@@ -216,7 +260,7 @@ def make_baseline_assigner(cfg: TrackConfig):
 
 def _empty_result(n_t: int, n_d: int) -> _assign.AssignmentResult:
     return _assign.AssignmentResult(
-        decisions=[_assign.TrackerDecision(_assign.TrackerState.UNMATCH)] * n_t,
+        decisions=[_assign.UNMATCH] * n_t,
         unmatched_detections=list(range(n_d)),
         table_large=np.zeros((n_t, n_d), dtype=np.int64),
         table_small=np.zeros((n_t, n_d), dtype=np.int64),

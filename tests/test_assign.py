@@ -13,6 +13,7 @@ from flextrack.assign import (
     DEFAULT_S_MIN,
     TrackerDecision,
     TrackerState,
+    _arbitrate,
     build_assignment_qubo,
     check_one_to_one,
     flexible_assign,
@@ -483,6 +484,81 @@ class TestFlexibleAssign:
                     assert dec.detection not in result.unmatched_detections
             assert len(matched) == len(set(matched))  # no detection matched twice
             assert sorted(matched + result.unmatched_detections) == list(range(n_d))
+
+
+def loop_arbitrate(table_large, table_small, s, s_min):
+    """``_arbitrate`` written as per-row loops: the vectorized one's reference."""
+    n_t, n_d = s.shape
+    decisions = [None] * n_t
+    claimed = np.zeros(n_d, dtype=bool)
+    for t in range(n_t):
+        hit = np.flatnonzero(table_large[t])
+        if len(hit) == 1:
+            d = int(hit[0])
+            if s[t, d] < s_min:
+                decisions[t] = TrackerDecision(TrackerState.UNMATCH)
+            else:
+                decisions[t] = TrackerDecision(TrackerState.MATCH, d)
+                claimed[d] = True
+    for t in range(n_t):
+        if decisions[t] is not None:
+            continue
+        candidates = np.flatnonzero(claimed & (table_small[t] != 0))
+        if len(candidates) > 0:
+            d = int(candidates[np.argmax(s[t, candidates])])
+            decisions[t] = TrackerDecision(TrackerState.POTENTIAL_MATCH, d)
+        else:
+            decisions[t] = TrackerDecision(TrackerState.UNMATCH)
+    return decisions, np.flatnonzero(~claimed).tolist()
+
+
+def random_table(rng, n_t, n_d, kind):
+    if kind == "zeros":
+        return np.zeros((n_t, n_d), dtype=np.int64)
+    if kind == "one_to_one":
+        # a partial matching, as a repaired strict table or ``hungarian`` gives
+        table = np.zeros((n_t, n_d), dtype=np.int64)
+        k = int(rng.integers(0, min(n_t, n_d) + 1))
+        table[rng.permutation(n_t)[:k], rng.permutation(n_d)[:k]] = 1
+        return table
+    return (rng.uniform(size=(n_t, n_d)) < kind).astype(np.int64)
+
+
+class TestArbitrate:
+    def assert_matches_loop(self, table_large, table_small, s, s_min):
+        got = _arbitrate(table_large, table_small, s, s_min)
+        assert got == loop_arbitrate(table_large, table_small, s, s_min)
+        assert all(type(d.detection) is int for d in got[0] if d.detection is not None)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+        st.sampled_from(["zeros", "one_to_one", 0.05, 0.3]),
+        st.sampled_from(["zeros", 0.1, 0.5, 1.0]),
+        st.sampled_from(_QUANTIZED[:3] + ("uniform",)),
+        st.sampled_from([float("-inf"), 0.0, 0.1, 0.3, 0.5]),
+    )
+    def test_identical_to_loop(self, n_t, n_d, seed, large_kind, small_kind, values, s_min):
+        # quantized similarities make exact ties common, gates of 0.3 and up
+        # fail many rows, and all-zero tolerant tables park no tracker
+        rng = np.random.default_rng(seed)
+        if values == "uniform":
+            s = rng.uniform(size=(n_t, n_d))
+        else:
+            s = rng.choice(values, size=(n_t, n_d))
+        table_large = random_table(rng, n_t, n_d, large_kind)
+        table_small = random_table(rng, n_t, n_d, small_kind)
+        self.assert_matches_loop(table_large, table_small, s, s_min)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 64
+        s = rng.choice((0.0, 0.2, 0.4), size=(n, n))
+        table_large = random_table(rng, n, n, "one_to_one")
+        for table_small in (random_table(rng, n, n, 0.3), random_table(rng, n, n, "zeros")):
+            for s_min in (float("-inf"), 0.2):
+                self.assert_matches_loop(table_large, table_small, s, s_min)
 
 
 class TestHungarianAssign:

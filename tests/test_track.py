@@ -4,15 +4,25 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flextrack import track
 from flextrack.assign import AssignmentResult, TrackerDecision, TrackerState
 from flextrack.track import (
+    KF_F,
+    KF_H,
+    KF_P0,
+    KF_Q,
+    KF_R,
+    MIN_AREA,
     BoundingBox,
     Detection,
     MultiObjectTracker,
     TrackConfig,
+    Tracker,
+    _edges,
+    _tracker_edges,
     iou,
     new_tracker,
     predict,
@@ -120,6 +130,51 @@ class TestSimilarityMatrix:
         assert_bit_identical(trackers_at(tracker_boxes), [det(*b) for b in detection_boxes])
 
 
+def tracker_in_state(tracker_id, cx, cy, area, aspect):
+    return Tracker(id=tracker_id, x=np.array([cx, cy, area, aspect, 0.0, 0.0, 0.0]), cov=KF_P0)
+
+
+class TestTrackerEdges:
+    """``similarity_matrix``'s tracker edges come from one stack of the states."""
+
+    def assert_edges_bit_identical(self, trackers):
+        got = _tracker_edges(trackers)
+        want = _edges([t.box for t in trackers])
+        assert got.shape == want.shape == (len(trackers), 5)
+        assert got.tobytes() == want.tobytes()
+
+    def test_clamped_states(self):
+        # area * aspect under MIN_AREA, area under MIN_AREA, negative area
+        trackers = [
+            tracker_in_state(0, 10.0, 20.0, 1e-4, 1e-3),
+            tracker_in_state(1, -3.0, 4.5, 1e-8, 50.0),
+            tracker_in_state(2, 0.0, 0.0, MIN_AREA, 1.0),
+            tracker_in_state(3, 7.0, 7.0, -2.0, 0.5),
+            tracker_in_state(4, 1e3, -1e3, 1e-7, 1e-7),
+        ]
+        assert trackers[0].x[2] * trackers[0].x[3] < MIN_AREA
+        self.assert_edges_bit_identical(trackers)
+        assert_bit_identical(trackers, [det(9.9, 19.9, 0.2, 0.2), det(-1, -1, 2, 2)])
+
+    def test_empty(self):
+        self.assert_edges_bit_identical([])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.tuples(
+            st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+            st.one_of(st.floats(-1.0, 1e-5), st.floats(1e-5, 1e5)),
+            st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 100.0)),
+        ),
+        max_size=20,
+    ))
+    @example([(0.0, 0.0, 1e-3, 1e-4), (5.0, 5.0, 1e-9, 1e-9)])
+    def test_identical_to_box_edges(self, states):
+        trackers = [tracker_in_state(i, *state) for i, state in enumerate(states)]
+        self.assert_edges_bit_identical(trackers)
+        assert_bit_identical(trackers, [det(-2.0, -2.0, 4.0, 4.0), det(10.0, 10.0, 30.0, 5.0)])
+
+
 class TestNewTracker:
     def test_state_from_box(self):
         t = new_tracker(det(0, 0, 10, 20), tracker_id=7)
@@ -217,6 +272,116 @@ class TestUpdate:
         assert np.allclose(t.x[:4], [5 + 20 * gain, 5 + 6 * gain, 100, 1])
         assert t.x[4] > 0 and t.x[5] > 0
         assert t.age == 0
+
+
+def reference_predict(tracker: Tracker) -> Tracker:
+    """``predict`` with the covariance recomputed on every call: the memoized one's reference."""
+    if tracker.x[2] + tracker.x[6] <= 0:
+        tracker.x[6] = 0.0
+    tracker.x = KF_F @ tracker.x
+    tracker.cov = KF_F @ tracker.cov @ KF_F.T + KF_Q
+    tracker.x[3] = max(tracker.x[3], MIN_AREA)
+    tracker.age += 1
+    return tracker
+
+
+def reference_update(tracker: Tracker, detection: Detection) -> Tracker:
+    """``update`` with the gain and covariance recomputed on every call: its reference."""
+    box = detection.box
+    z = np.array([box.left + box.width / 2.0, box.top + box.height / 2.0,
+                  box.width * box.height, box.width / box.height])
+    innovation = z - KF_H @ tracker.x
+    s_mat = KF_H @ tracker.cov @ KF_H.T + KF_R
+    gain = np.linalg.solve(s_mat, KF_H @ tracker.cov).T
+    tracker.x = tracker.x + gain @ innovation
+    tracker.cov = (np.eye(7) - gain @ KF_H) @ tracker.cov
+    tracker.x[2] = max(tracker.x[2], MIN_AREA)
+    tracker.x[3] = max(tracker.x[3], MIN_AREA)
+    tracker.age = 0
+    return tracker
+
+
+def replay_history(spawn_box, frames):
+    """Run a tracker and its reference through one history, checking every frame.
+
+    ``frames`` holds one detection box per frame, or None for a frame without
+    an update.
+    """
+    got = new_tracker(det(*spawn_box), tracker_id=1)
+    want = Tracker(id=1, x=got.x.copy(), cov=got.cov.copy())
+    for box in frames:
+        predict(got)
+        reference_predict(want)
+        if box is not None:
+            update(got, det(*box))
+            reference_update(want, det(*box))
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.cov.tobytes() == want.cov.tobytes()
+        assert got.age == want.age
+    return got
+
+
+boxes = st.tuples(st.floats(-100.0, 1000.0), st.floats(-100.0, 1000.0),
+                  st.floats(0.5, 200.0), st.floats(0.5, 200.0))
+
+
+class TestKalmanMemo:
+    """``predict`` and ``update`` share covariances through a bounded memo."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(boxes, st.lists(st.one_of(st.none(), boxes), min_size=1, max_size=40))
+    def test_bit_identical_to_reference(self, spawn_box, frames):
+        replay_history(spawn_box, frames)
+
+    def test_past_the_bound(self):
+        # a parked tracker reaches a new covariance every frame, so the
+        # predict memo fills, is emptied and fills again
+        n_parked = track.KALMAN_MEMO_SIZE + 50
+        replay_history((0, 0, 10, 10), [None] * n_parked + [(5.0, 5.0, 10.0, 10.0)] * 20)
+        assert len(track._predict_memo) <= track.KALMAN_MEMO_SIZE
+
+    def test_small_bound_keeps_going(self, monkeypatch):
+        monkeypatch.setattr(track, "KALMAN_MEMO_SIZE", 5)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            frames = [
+                None if rng.uniform() < 0.4 else tuple(rng.uniform([0, 0, 5, 5], [300, 300, 60, 60]))
+                for _ in range(int(rng.integers(1, 60)))
+            ]
+            replay_history(tuple(rng.uniform([0, 0, 5, 5], [300, 300, 60, 60])), frames)
+            assert len(track._predict_memo) <= 5 and len(track._update_memo) <= 5
+
+    def test_keyed_by_the_whole_covariance(self):
+        # covariances a tracker reaches differ everywhere; these differ in one entry
+        for i, j in [(0, 0), (6, 6), (3, 5)]:
+            cov = KF_P0.copy()
+            cov[i, j] += 1.0
+            for start in (KF_P0.copy(), cov):
+                got = Tracker(id=1, x=np.array([5.0, 5.0, 100.0, 1.0, 0.0, 0.0, 0.0]), cov=start)
+                want = Tracker(id=1, x=got.x.copy(), cov=start.copy())
+                for tracker, kalman_predict, kalman_update in (
+                    (got, predict, update), (want, reference_predict, reference_update)
+                ):
+                    kalman_predict(tracker)
+                    kalman_update(tracker, det(1, 1, 10, 10))
+                    kalman_predict(tracker)
+                assert got.x.tobytes() == want.x.tobytes()
+                assert got.cov.tobytes() == want.cov.tobytes()
+
+    def test_shared_covariance_is_read_only(self):
+        a = new_tracker(det(0, 0, 10, 10), tracker_id=1)
+        b = new_tracker(det(50, 80, 20, 40), tracker_id=2)
+        predict(a)
+        predict(b)
+        assert a.cov is b.cov
+        with pytest.raises(ValueError):
+            a.cov[0, 0] = 1.0
+        update(a, det(1, 1, 10, 10))
+        update(b, det(52, 78, 20, 40))
+        assert a.cov is b.cov
+        with pytest.raises(ValueError):
+            b.cov += 1.0
+        assert not np.array_equal(a.x, b.x)
 
 
 class TestStep:
