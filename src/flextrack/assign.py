@@ -86,7 +86,7 @@ def _validate_table(b) -> np.ndarray:
     b = np.asarray(b)
     if b.ndim != 2:
         raise ValueError(f"assignment table must be 2-D, got shape {b.shape}")
-    if not np.isin(b, (0, 1)).all():
+    if not ((b == 0) | (b == 1)).all():
         raise ValueError("assignment table entries must be 0 or 1")
     return b.astype(np.int64)
 
@@ -169,24 +169,18 @@ def repair_table(table, s) -> tuple[np.ndarray, int]:
     Bits are only ever cleared, never added, so rows or columns the solver left
     empty stay empty and are handled by the arbiter as unmatched.
     """
-    table = _validate_table(table).copy()
+    table = _validate_table(table)
     s = _validate_similarity(s)
-    repairs = 0
-    for d in range(table.shape[1]):
-        hits = np.flatnonzero(table[:, d])
-        if len(hits) > 1:
-            keep = hits[np.argmax(s[hits, d])]
-            table[hits, d] = 0
-            table[keep, d] = 1
-            repairs += len(hits) - 1
-    for t in range(table.shape[0]):
-        hits = np.flatnonzero(table[t])
-        if len(hits) > 1:
-            keep = hits[np.argmax(s[t, hits])]
-            table[t, hits] = 0
-            table[t, keep] = 1
-            repairs += len(hits) - 1
-    return table, repairs
+    n_t, n_d = table.shape
+    # the masked argmax of a column is its most similar set bit, the lowest
+    # index on ties; a column without one points at a 0 it copies as 0
+    keep = np.where(table != 0, s, -np.inf).argmax(axis=0)
+    columns = np.zeros_like(table)
+    columns[keep, np.arange(n_d)] = table[keep, np.arange(n_d)]
+    keep = np.where(columns != 0, s, -np.inf).argmax(axis=1)
+    repaired = np.zeros_like(table)
+    repaired[np.arange(n_t), keep] = columns[np.arange(n_t), keep]
+    return repaired, int(table.sum() - repaired.sum())
 
 
 def _arbitrate(

@@ -44,6 +44,7 @@ from .track import (
     TrackConfig,
     make_baseline_assigner,
     make_flexible_assigner,
+    mot_printable,
 )
 
 USAGE_ERROR = 1
@@ -54,10 +55,7 @@ DATA_ERROR = 2
 class MotRecord:
     frame: int
     track_id: int
-    left: float
-    top: float
-    width: float
-    height: float
+    box: BoundingBox
     confidence: float = 1.0
 
 
@@ -70,15 +68,9 @@ def parse_mot_line(line: str) -> MotRecord:
     left, top, width, height, confidence = (float(v) for v in parts[2:7])
     if frame < 1:
         raise ValueError(f"frame numbers must be positive, got {frame}")
-    if not all(map(math.isfinite, (left, top, width, height, confidence))):
-        raise ValueError("box and confidence fields must be finite")
-    if not (width > 0 and height > 0):
-        raise ValueError(f"box width/height must be positive, got {width:g} x {height:g}")
-    # IOU adds two boxes' areas, and a tracker's box squares its sides
-    derived = (left + width, top + height, 2 * width * height, width * width, height * height)
-    if not all(map(math.isfinite, derived)):
-        raise ValueError("the box's right edge, bottom edge, doubled area or squared sides overflow")
-    return MotRecord(frame, track_id, left, top, width, height, confidence)
+    if not math.isfinite(confidence):
+        raise ValueError(f"confidence must be finite, got {confidence}")
+    return MotRecord(frame, track_id, BoundingBox(left, top, width, height), confidence)
 
 
 def read_mot_file(path) -> list[MotRecord]:
@@ -96,9 +88,10 @@ def read_mot_file(path) -> list[MotRecord]:
 
 
 def format_mot_record(r: MotRecord) -> str:
+    b = r.box
     return (
-        f"{r.frame},{r.track_id},{r.left:.2f},{r.top:.2f},"
-        f"{r.width:.2f},{r.height:.2f},{r.confidence:.6f},-1,-1,-1"
+        f"{r.frame},{r.track_id},{b.left:.2f},{b.top:.2f},"
+        f"{b.width:.2f},{b.height:.2f},{r.confidence:.6f},-1,-1,-1"
     )
 
 
@@ -145,8 +138,7 @@ def read_config(path) -> TrackConfig:
 def _detections_by_frame(records) -> dict[int, list[Detection]]:
     out: dict[int, list[Detection]] = {}
     for r in records:
-        box = BoundingBox(r.left, r.top, r.width, r.height)
-        out.setdefault(r.frame, []).append(Detection(box, r.confidence))
+        out.setdefault(r.frame, []).append(Detection(r.box, r.confidence))
     return out
 
 
@@ -188,12 +180,9 @@ def cmd_track(args) -> int:
             result: AssignmentResult = tracker.step(detections)
             for t in sorted(tracker.trackers, key=lambda t: t.id):
                 box = t.box
-                # a side that would print as 0.00 could not be read back;
-                # round(x, 2) rounds as the 2-decimal format does
-                if round(box.width, 2) > 0 and round(box.height, 2) > 0:
-                    out_records.append(
-                        MotRecord(frame, t.id, box.left, box.top, box.width, box.height, 1.0)
-                    )
+                # a side that would print as 0.00 could not be read back
+                if mot_printable(box):
+                    out_records.append(MotRecord(frame, t.id, box, 1.0))
             diag_rows.append(
                 f"{frame},{len(result.decisions)},{len(detections)},"
                 f"{result.energy_large:.9g},{result.energy_small:.9g},"
@@ -215,18 +204,9 @@ def cmd_simulate(args) -> int:
     for k, (frame_gt, frame_dets) in enumerate(zip(gt.frames, detections)):
         frame = k + 1
         for obj, entry in sorted(frame_gt.items()):
-            box = entry.box
-            gt_records.append(
-                MotRecord(
-                    frame, obj, box.left, box.top, box.width, box.height,
-                    1.0 if entry.visible else 0.0,
-                )
-            )
+            gt_records.append(MotRecord(frame, obj, entry.box, 1.0 if entry.visible else 0.0))
         for det in frame_dets:
-            box = det.box
-            det_records.append(
-                MotRecord(frame, -1, box.left, box.top, box.width, box.height, det.confidence)
-            )
+            det_records.append(MotRecord(frame, -1, det.box, det.confidence))
     write_mot_file(args.out_prefix + ".gt.txt", gt_records)
     write_mot_file(args.out_prefix + ".det.txt", det_records)
     return 0
@@ -239,8 +219,7 @@ def _ground_truth_from_records(records) -> tuple[GroundTruth, int]:
     last = max(r.frame for r in records)
     frames: list[dict[int, TruthEntry]] = [{} for _ in range(last - first + 1)]
     for r in records:
-        box = BoundingBox(r.left, r.top, r.width, r.height)
-        frames[r.frame - first][r.track_id] = TruthEntry(box, r.confidence > 0.5)
+        frames[r.frame - first][r.track_id] = TruthEntry(r.box, r.confidence > 0.5)
     return GroundTruth(frames), first
 
 
@@ -249,7 +228,7 @@ def _tracks_from_records(records, first: int, n_frames: int):
     for r in records:
         idx = r.frame - first
         if 0 <= idx < n_frames:
-            tracks[idx].append((r.track_id, BoundingBox(r.left, r.top, r.width, r.height)))
+            tracks[idx].append((r.track_id, r.box))
     return tracks
 
 

@@ -5,14 +5,16 @@ momentum ``y_i``. One step of the ballistic variant updates momenta from the
 current positions, then positions from the new momenta, and finally applies a
 perfectly inelastic wall at ``x = +/-1``:
 
-    y_i += [-(a0 - a_k) * x_i - eta * h_i + c0 * sum_j J_ij * x_j] * dt
-    x_i += a0 * y_i * dt
+    y_i += [-(1 - k / n_steps) * x_i - eta * h_i + c0 * sum_j J_ij * x_j] * dt
+    x_i += y_i * dt
     if |x_i| > 1:  x_i = sign(x_i), y_i = 0
 
-``a_k`` is the pump, ramped linearly from zero towards ``a0`` over a fixed
-schedule, ``a_k = a0 * k / n_steps`` (Goto et al., Sci. Adv. 7:eabe7953, 2021).
-After ``n_steps`` steps the positions are digitized to spins by sign (with
-sign(0) taken as +1).
+``k / n_steps`` at step ``k`` is the pump, ramped linearly from zero towards 1
+over a fixed schedule (Goto et al., Sci. Adv. 7:eabe7953, 2021). Their pump
+amplitude ``a0`` is fixed at 1 because it adds no dynamics: from the same
+initial momenta, a step with ``(a0, c0, eta, dt)`` is, in exact arithmetic,
+the step with ``(1, c0 / a0, eta / a0, a0 * dt)``. After ``n_steps`` steps
+the positions are digitized to spins by sign (with sign(0) taken as +1).
 
 Initialization: positions start at zero and momenta are drawn uniformly from
 ``[-init_noise, +init_noise]`` with numpy's default generator seeded from
@@ -86,7 +88,6 @@ from .ising import IsingProblem, QuboProblem, ising_energy, qubo_energy, qubo_to
 class SbParams:
     """Solver parameters. The defaults are the operating point used throughout."""
 
-    a0: float = 1.0
     c0: float = 0.8
     eta: float = 0.8
     dt: float = 0.3
@@ -96,11 +97,11 @@ class SbParams:
     init_noise: float = 0.1
 
     def __post_init__(self):
-        for name in ("a0", "c0", "eta", "dt", "init_noise"):
+        for name in ("c0", "eta", "dt", "init_noise"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.a0 <= 0 or self.c0 <= 0 or self.dt <= 0:
-            raise ValueError("a0, c0 and dt must be positive")
+        if self.c0 <= 0 or self.dt <= 0:
+            raise ValueError("c0 and dt must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if self.restarts < 1:
@@ -155,9 +156,9 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     loop described in the module docstring.
     """
     rng = np.random.default_rng(params.seed)
-    a0, c0, dt = params.a0, params.c0, params.dt
+    c0, dt = params.c0, params.dt
     coupling = _coupling(p.j)
-    detuning = [-(a0 - a0 * k / params.n_steps) for k in range(params.n_steps)]
+    detuning = [-(1.0 - k / params.n_steps) for k in range(params.n_steps)]
     # one draw gives every restart's momenta in the order per-restart draws would
     x_rows = np.zeros((params.restarts, p.n))
     y_rows = rng.uniform(-params.init_noise, params.init_noise, size=x_rows.shape)
@@ -177,9 +178,7 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
         kick += force
         kick *= dt
         y += kick
-        drift = a0 * y
-        drift *= dt
-        x += drift
+        x += y * dt
         over = np.abs(x) > 1.0
         np.copysign(1.0, x, out=x, where=over)
         y[over] = 0.0

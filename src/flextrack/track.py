@@ -54,8 +54,21 @@ class BoundingBox:
     height: float
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError(f"box width/height must be positive, got {self}")
+        # The one box rule, for MOT files, scenarios and library callers:
+        # positive sides, and finite right and bottom edges, doubled area (IOU
+        # adds two areas), squared sides (a tracker's box squares them) and
+        # aspect ratio (the Kalman state holds it), which imply a finite left,
+        # top and sides. Python floats overflow to inf where NumPy's would warn.
+        left, top, width, height = map(float, (self.left, self.top, self.width, self.height))
+        if not (width > 0 and height > 0):
+            raise ValueError(f"box width/height must be positive, got {width:g} x {height:g}")
+        derived = (left + width, top + height, 2 * width * height, width * width, height * height,
+                   width / height)
+        if not all(map(math.isfinite, derived)):
+            raise ValueError(
+                "the box's right edge, bottom edge, doubled area, squared sides or aspect "
+                f"ratio is not finite, got {left:g},{top:g},{width:g},{height:g}"
+            )
 
     @classmethod
     def from_center(cls, cx: float, cy: float, width: float, height: float) -> "BoundingBox":
@@ -72,6 +85,14 @@ class BoundingBox:
     @property
     def area(self) -> float:
         return self.width * self.height
+
+
+def mot_printable(box: BoundingBox) -> bool:
+    """True unless a side prints as 0.00, which no MOT reader accepts, at 2 decimals.
+
+    ``round(x, 2)`` rounds as the 2-decimal format does.
+    """
+    return round(box.width, 2) > 0 and round(box.height, 2) > 0
 
 
 @dataclass(frozen=True)
@@ -95,7 +116,9 @@ class Tracker:
 
     @property
     def box(self) -> BoundingBox:
-        cx, cy, area, aspect = self.x[:4]
+        # Python floats: a state past the float range gives inf, which the box
+        # rule rejects, where NumPy scalars would warn first
+        cx, cy, area, aspect = self.x[:4].tolist()
         width = math.sqrt(max(area * aspect, MIN_AREA))
         height = max(area, MIN_AREA) / width
         return BoundingBox.from_center(cx, cy, width, height)

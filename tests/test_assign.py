@@ -369,7 +369,50 @@ class TestHungarian:
                 assert float((s * table).sum()) == pytest.approx(best)
 
 
+def loop_repair(table, s):
+    """``repair_table`` written as per-column then per-row loops: its reference."""
+    table = np.array(table, dtype=np.int64)
+    repairs = 0
+    for d in range(table.shape[1]):
+        hits = np.flatnonzero(table[:, d])
+        if len(hits) > 1:
+            keep = hits[np.argmax(s[hits, d])]
+            table[hits, d] = 0
+            table[keep, d] = 1
+            repairs += len(hits) - 1
+    for t in range(table.shape[0]):
+        hits = np.flatnonzero(table[t])
+        if len(hits) > 1:
+            keep = hits[np.argmax(s[t, hits])]
+            table[t, hits] = 0
+            table[t, keep] = 1
+            repairs += len(hits) - 1
+    return table, repairs
+
+
 class TestRepair:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+        st.sampled_from(["zeros", "one_to_one", 0.05, 0.3, 0.7, 1.0]),
+        st.sampled_from(((0.0,), (-0.2, 0.0, 0.2), (-1.0, -0.5), "uniform")),
+    )
+    @example(16, 16, 0, 0.3, (0.0, 0.2))
+    @example(24, 24, 1, 0.7, (-0.2, 0.0, 0.2))
+    @example(64, 48, 2, 0.3, "uniform")
+    def test_identical_to_loop(self, n_t, n_d, seed, kind, values):
+        # few distinct, zero or negative similarities make exact ties common
+        rng = np.random.default_rng(seed)
+        if values == "uniform":
+            s = rng.uniform(-1, 1, size=(n_t, n_d))
+        else:
+            s = rng.choice(values, size=(n_t, n_d))
+        table = random_table(rng, n_t, n_d, kind)
+        got, repairs = repair_table(table, s)
+        want, want_repairs = loop_repair(table, s)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        assert type(repairs) is int and repairs == want_repairs
+
     def test_column_conflict_keeps_best(self):
         s = np.array([[0.8], [0.7]])
         table, repairs = repair_table([[1], [1]], s)

@@ -28,7 +28,7 @@ from flextrack.cli import (
 )
 from flextrack.ising import BRUTE_FORCE_MAX_VARS
 from flextrack.sb import SbParams
-from flextrack.track import TrackConfig
+from flextrack.track import BoundingBox, TrackConfig
 
 
 TWO_OBJECT_SPEC = """\
@@ -51,25 +51,47 @@ def write(path, text):
 class TestMotFormat:
     def test_roundtrip(self, tmp_path):
         records = [
-            MotRecord(1, -1, 10.25, 20.5, 30.0, 40.75, 0.875),
-            MotRecord(2, 5, 0.0, 1.0, 2.0, 3.0, 1.0),
+            MotRecord(1, -1, BoundingBox(10.25, 20.5, 30.0, 40.75), 0.875),
+            MotRecord(2, 5, BoundingBox(0.0, 1.0, 2.0, 3.0), 1.0),
         ]
         path = tmp_path / "a.txt"
         write_mot_file(path, records)
         assert read_mot_file(path) == records
 
     def test_serialized_shape(self):
-        line = format_mot_record(MotRecord(3, 7, 1.234, 5.678, 9.0, 10.0, 0.5))
+        line = format_mot_record(MotRecord(3, 7, BoundingBox(1.234, 5.678, 9.0, 10.0), 0.5))
         assert line == "3,7,1.23,5.68,9.00,10.00,0.500000,-1,-1,-1"
 
     def test_parse_accepts_ten_fields(self):
         r = parse_mot_line("1,-1,10,20,30,40,0.9,-1,-1,-1")
-        assert r == MotRecord(1, -1, 10.0, 20.0, 30.0, 40.0, 0.9)
+        assert r == MotRecord(1, -1, BoundingBox(10.0, 20.0, 30.0, 40.0), 0.9)
 
     def test_parse_error_names_line(self, tmp_path):
         path = write(tmp_path / "bad.txt", "1,-1,10,20,30,40,0.9\nnot a record\n")
         with pytest.raises(ValueError, match=":2:"):
             read_mot_file(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        corner=st.tuples(*[st.floats(-1e150, 1e150)] * 2),
+        sides=st.tuples(*[
+            st.one_of(
+                st.sampled_from([0.005, 0.0049999999999999, 0.0050000000000001, 0.015]),
+                st.floats(0.004, 0.006),
+                st.floats(0.004, 1e150),
+            )
+        ] * 2),
+    )
+    def test_every_printable_box_reads_back(self, corner, sides):
+        # the rule track and simulate write by: sides that stay positive at 2 decimals
+        box = BoundingBox(*corner, *sides)
+        if not track.mot_printable(box):
+            return
+        r = parse_mot_line(format_mot_record(MotRecord(3, 7, box, 0.5)))
+        assert (r.frame, r.track_id, r.confidence) == (3, 7, 0.5)
+        for name in ("left", "top", "width", "height"):
+            value = getattr(box, name)
+            assert abs(getattr(r.box, name) - value) <= 0.005 + 1e-15 * abs(value)
 
 
 class TestBoxRejections:
@@ -346,7 +368,16 @@ class TestSimulate:
         assert main(["simulate", spec, "-o", prefix]) == 0
         det = read_mot_file(prefix + ".det.txt")
         assert len(det) == 6
-        assert len({(r.left, r.top, r.width, r.height) for r in det}) == 1
+        assert len({r.box for r in det}) == 1
+
+    def test_thin_object_rejected_at_parse(self, tmp_path, capsys):
+        # a side below 0.005 px would be written as 0.00, which track and eval reject
+        spec = write(tmp_path / "scene.txt", "frames 3\nobject 100 100 20 0.004 0 0\n")
+        prefix = tmp_path / "o"
+        assert main(["simulate", spec, "-o", str(prefix)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}:2: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [Path(spec)]
 
     def test_malformed_line_is_data_error(self, tmp_path, capsys):
         spec = write(tmp_path / "scene.txt", "frames 5\nobject 1 2 3\n")
@@ -392,9 +423,30 @@ class TestTrack:
         out = str(tmp_path / "res.txt")
         for extra in ([], ["--baseline"]):
             assert main(["track", det, "-o", out] + extra) == 0
-            assert [(r.frame, r.left) for r in read_mot_file(out)] == [(1, 200.0), (2, 200.0)]
+            assert [(r.frame, r.box.left) for r in read_mot_file(out)] == [(1, 200.0), (2, 200.0)]
             assert main(["track", out, "-o", str(tmp_path / "again.txt")]) == 0
             assert main(["eval", out, det]) == 0
+
+    @pytest.mark.parametrize(
+        "sides",
+        [
+            # the matched area grows so fast that the next prediction's box overflows
+            [(3.1622776601683794e153,) * 2, (9.433981132056603e153,) * 2, (10, 10)],
+            # the update blends area and aspect into a width that overflows
+            [(1.3e154, 1.625e153), (1.3e154, 6.5e153)],
+        ],
+    )
+    def test_tracker_past_the_float_range_is_one_error(self, tmp_path, capsys, sides):
+        # every detection is a valid box; the tracker extrapolated from them is not
+        rows = "".join(
+            f"{f},-1,0,0,{w!r},{h!r},1,-1,-1,-1\n" for f, (w, h) in enumerate(sides, start=1)
+        )
+        det = write(tmp_path / "det.txt", rows)
+        out = tmp_path / "res.txt"
+        assert main(["track", det, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_diagnostics_sidecar(self, tmp_path):
         det = write(tmp_path / "det.txt", "1,-1,10,20,30,40,1,-1,-1,-1\n")

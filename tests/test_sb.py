@@ -49,11 +49,11 @@ def sb_step(state: SbState, p: IsingProblem, params: SbParams) -> SbState:
         raise ValueError(
             f"state dimension {state.x.shape} does not match problem size {p.n}"
         )
-    a_k = params.a0 * state.k / params.n_steps
+    pump = state.k / params.n_steps
     y = state.y + (
-        -(params.a0 - a_k) * state.x - params.eta * p.h + params.c0 * (p.j @ state.x)
+        -(1.0 - pump) * state.x - params.eta * p.h + params.c0 * (p.j @ state.x)
     ) * params.dt
-    x = state.x + params.a0 * y * params.dt
+    x = state.x + y * params.dt
     over = np.abs(x) > 1.0
     if over.any():
         x = np.where(over, np.sign(x), x)
@@ -108,9 +108,9 @@ def per_restart_loop(p, params):
     Returns the spins and the final positions of every restart.
     """
     rng = np.random.default_rng(params.seed)
-    a0, c0, dt = params.a0, params.c0, params.dt
+    c0, dt = params.c0, params.dt
     coupling = sb._coupling(p.j)
-    detuning = [-(a0 - a0 * k / params.n_steps) for k in range(params.n_steps)]
+    detuning = [-(1.0 - k / params.n_steps) for k in range(params.n_steps)]
     eta_h = params.eta * p.h
     best_spins, best_energy = None, np.inf
     positions = []
@@ -125,9 +125,7 @@ def per_restart_loop(p, params):
             kick += force
             kick *= dt
             y += kick
-            drift = a0 * y
-            drift *= dt
-            x += drift
+            x += y * dt
             over = np.abs(x) > 1.0
             np.copysign(1.0, x, out=x, where=over)
             y[over] = 0.0
@@ -293,10 +291,10 @@ class TestFusedLoop:
         [
             (1, SbParams(seed=1)),
             (6, SbParams(seed=6, restarts=3, n_steps=150)),
-            (12, SbParams(seed=12, a0=0.7, c0=0.5, eta=1.3, dt=0.35, init_noise=0.3)),
+            (12, SbParams(seed=12, c0=0.5, eta=1.3, dt=0.35, init_noise=0.3)),
             (30, SbParams(seed=30, restarts=2, n_steps=150)),
             # short runs end with positions off the wall, where rounding shows
-            (12, SbParams(seed=4, a0=0.7, c0=0.5, eta=1.3, dt=0.35, n_steps=30)),
+            (12, SbParams(seed=4, c0=0.5, eta=1.3, dt=0.35, n_steps=30)),
             (30, SbParams(seed=7, restarts=2, n_steps=20)),
         ],
     )

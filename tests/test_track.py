@@ -73,6 +73,83 @@ class TestIou:
             BoundingBox(0, 0, 0, 2)
 
 
+NAN, INF = float("nan"), float("inf")
+# floats near the edges of the box rule: non-finite, huge, tiny and ordinary
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([NAN, INF, -INF, 0.0, -1.0, 1e-300, 1e-160, 1e150, 1.3e154, 1.5e154, 1.7e308]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestBoundingBox:
+    """The one box rule: positive sides, and finite right and bottom edges,
+    doubled area, squared sides and aspect ratio."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (NAN, 0, 10, 10),
+            (0, NAN, 10, 10),
+            (0, 0, NAN, 10),
+            (0, 0, 10, NAN),
+            (INF, 0, 10, 10),
+            (-INF, 0, 10, 10),
+            (0, INF, 10, 10),
+            (0, -INF, 10, 10),
+            (0, 0, INF, 10),
+            (0, 0, 10, INF),
+            (1.7e308, 0, 1e300, 10),  # the right edge overflows
+            (0, 1.7e308, 10, 1e300),  # the bottom edge overflows
+            (0, 0, 1e154, 1e154),  # the doubled area overflows
+            (0, 0, 1.5e154, 1e150),  # the squared width overflows
+            (0, 0, 1e150, 1.5e154),  # the squared height overflows
+            (0, 0, 1e150, 1e-160),  # the aspect ratio overflows
+            (0, 0, 0, 10),
+            (0, 0, 10, -1),
+        ],
+    )
+    def test_rejected(self, values):
+        with pytest.raises(ValueError):
+            BoundingBox(*values)
+        # NumPy scalars, as a tracker's state gives them, raise the same and never warn
+        with pytest.raises(ValueError):
+            BoundingBox(*np.array(values, dtype=np.float64))
+
+    def test_near_limit_box_accepted(self):
+        # every derived value just fits below the largest float
+        box = BoundingBox(-1.7e308, 1.7e308, 1.3e154, 1.3e154 / 2)
+        assert 2 * box.area == pytest.approx(1.69e308)
+
+    def test_non_finite_detection_never_reaches_a_tracker(self):
+        mot = MultiObjectTracker()
+        with pytest.raises(ValueError):
+            mot.step([det(NAN, 0, 10, 10)])
+        assert mot.trackers == []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        a=st.tuples(*[EDGE_FLOATS] * 4),
+        shift=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+        scale=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    )
+    def test_accepted_boxes_keep_kalman_state_finite(self, a, shift, scale):
+        # a box the rule accepts spawns a finite tracker, and a box moved and
+        # scaled from it (matched when they overlap enough) updates it to a
+        # finite state, without a warning (an error here); every other box
+        # raises ValueError
+        left, top, width, height = a
+        b = (left + shift[0] * width, top + shift[1] * height, width * scale[0], height * scale[1])
+        try:
+            frames = [[det(*a)], [det(*b)]]
+        except ValueError:
+            return
+        mot = MultiObjectTracker(assigner=track.make_baseline_assigner(TrackConfig()))
+        for detections in frames:
+            mot.step(detections)
+            assert all(np.isfinite(t.x).all() for t in mot.trackers)
+
+
 def loop_similarity(trackers, detections):
     """``iou`` over every pair: ``similarity_matrix``'s oracle."""
     s = np.zeros((len(trackers), len(detections)))
