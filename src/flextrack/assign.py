@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .ising import QuboProblem, qubo_energy
 
@@ -154,6 +153,7 @@ def hungarian(s) -> np.ndarray:
     :func:`hungarian_assign` MATCHes only pairs at or above ``s_min``, so two
     optima give different decisions only where they differ on gated-in pairs.
     """
+    from scipy.optimize import linear_sum_assignment
     s = _validate_similarity(s)
     table = np.zeros(s.shape, dtype=np.int64)
     table[linear_sum_assignment(s, maximize=True)] = 1

@@ -244,16 +244,13 @@ def cmd_eval(args) -> int:
 
 def cmd_solve_qubo(args) -> int:
     problem = read_qubo_file(args.qubo)
+    if args.oracle and problem.n > BRUTE_FORCE_MAX_VARS:
+        print(f"error: --oracle supports at most {BRUTE_FORCE_MAX_VARS} variables", file=sys.stderr)
+        return USAGE_ERROR
     params = SbParams(**{name: getattr(args, name) for name in _SB_KEYS})
     bits, energy = solve_qubo(problem, params)
     print(f"bits={''.join(str(b) for b in bits)} energy={energy:g}")
     if args.oracle:
-        if problem.n > BRUTE_FORCE_MAX_VARS:
-            print(
-                f"error: --oracle supports at most {BRUTE_FORCE_MAX_VARS} variables",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
         oracle_bits, oracle_energy = brute_force_qubo(problem)
         print(
             f"oracle_bits={''.join(str(b) for b in oracle_bits)} "

@@ -50,7 +50,9 @@ Tatsumura & Dixon, Sci. Adv. 5:eaav2372, 2019). The assignment coupling has
 only ``n_t + n_d - 2`` nonzeros per row, so when ``J`` has more than 2**17
 entries (``n > 362``) and at most one in eight of them is nonzero, the solve
 multiplies by a ``scipy.sparse`` CSR copy built once per solve; otherwise it
-keeps the dense BLAS product. The CSR arrays come straight from one nonzero
+keeps the dense BLAS product. scipy is imported only to build that copy, so
+the package loads scipy only for such solves and for ``track --baseline``
+(``assign.hungarian``). The CSR arrays come straight from one nonzero
 mask of ``J`` (see :func:`_coupling`) rather than from scipy's conversion of
 the dense matrix through COO, which took 2 ms of a solve at 31 x 21 against
 0.6 ms. Measured per product with one BLAS thread on a two-core Xeon host
@@ -79,7 +81,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .ising import IsingProblem, QuboProblem, ising_energy, qubo_energy, qubo_to_ising, spins_to_bits
 
@@ -140,6 +141,7 @@ def _coupling(j: np.ndarray):
     np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
     if _CSR_MAX_FILL * int(indptr[-1]) > n * n:
         return j
+    from scipy import sparse
     flat = np.flatnonzero(nonzero)
     indices = (flat % n).astype(np.int32)
     return sparse.csr_array((j.ravel()[flat], indices, indptr), shape=j.shape)
@@ -166,7 +168,7 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     # module docstring picks: one row, one gemv per row, or one CSR multivector
     if params.restarts == 1:
         x, y, eta_h = x_rows[0], y_rows[0], params.eta * p.h
-    elif sparse.issparse(coupling):
+    elif coupling is not p.j:
         x, y, eta_h = x_rows.T, y_rows.T, params.eta * p.h[:, None]
     else:
         x, y, eta_h = x_rows[:, :, None], y_rows[:, :, None], params.eta * p.h[:, None]

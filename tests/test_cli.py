@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import flextrack
 from flextrack import track
+from flextrack.assign import build_assignment_qubo
 from flextrack.cli import (
     MotRecord,
     format_mot_record,
@@ -26,8 +28,8 @@ from flextrack.cli import (
     read_mot_file,
     write_mot_file,
 )
-from flextrack.ising import BRUTE_FORCE_MAX_VARS
-from flextrack.sb import SbParams
+from flextrack.ising import BRUTE_FORCE_MAX_VARS, qubo_to_ising
+from flextrack.sb import SbParams, solve_ising
 from flextrack.track import BoundingBox, TrackConfig
 
 
@@ -46,6 +48,15 @@ object 40 100 38 38 10 0
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def fresh_python(*args):
+    """Run a new interpreter on ``args`` with this package importable."""
+    src = str(Path(flextrack.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
+    )
 
 
 class TestMotFormat:
@@ -211,12 +222,8 @@ class TestBadSettings:
             "1,-1,10,20,30,40,1,-1,-1,-1\n2,-1,12,20,30,40,1,-1,-1,-1\n",
         )
         cfg = write(tmp_path / "cfg.txt", "c_large = 1e308\n")
-        src = str(Path(flextrack.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "flextrack.cli", "track", det,
-             "-o", str(tmp_path / "r.txt"), "--config", cfg],
-            capture_output=True, text=True, env=env, check=False,
+        proc = fresh_python(
+            "-m", "flextrack.cli", "track", det, "-o", str(tmp_path / "r.txt"), "--config", cfg
         )
         assert proc.returncode == 2
         assert proc.stderr == "error: assignment QUBO overflows at penalty weight 1e+308\n"
@@ -314,7 +321,10 @@ class TestSolveQubo:
     def test_oracle_size_limit(self, tmp_path, capsys):
         qubo = write(tmp_path / "q.txt", f"{BRUTE_FORCE_MAX_VARS + 1}\n")
         assert main(["solve-qubo", qubo, "--oracle"]) == 1
-        assert f"at most {BRUTE_FORCE_MAX_VARS} variables" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"at most {BRUTE_FORCE_MAX_VARS} variables" in captured.err
+        # refused before the solve: no bits= line on a run that exits 1
+        assert captured.out == ""
 
     def test_oracle_above_twenty_variables(self, tmp_path, capsys):
         lines = ["21"] + [f"{i} {i} -1" for i in range(21)]
@@ -580,3 +590,80 @@ class TestDeterminism:
         assert main(["track", prefix + ".det.txt", "-o", out1, "--seed", "5"]) == 0
         assert main(["track", prefix + ".det.txt", "-o", out2, "--seed", "5"]) == 0
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
+
+
+# the scipy modules a process holds, as the last line of its stdout
+_PRINT_SCIPY = "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+_RUN_MAIN = f"""
+import json, sys
+from flextrack.cli import main
+assert main(sys.argv[1:]) == 0
+{_PRINT_SCIPY}
+"""
+_SOLVE_ASSIGNMENT = f"""
+import json, sys
+import numpy as np
+from flextrack.assign import build_assignment_qubo
+from flextrack.ising import qubo_to_ising
+from flextrack.sb import SbParams, solve_ising
+p = qubo_to_ising(build_assignment_qubo(np.load(sys.argv[1]), 1.0)[0])
+assert "scipy.sparse" not in sys.modules
+print(json.dumps(solve_ising(p, SbParams(seed=3, restarts=int(sys.argv[2]), n_steps=80)).tolist()))
+{_PRINT_SCIPY}
+"""
+
+
+def scipy_modules_after(*args):
+    """Run ``args`` in a fresh interpreter; its stdout lines before the last, and
+    the scipy modules it had loaded when it ended."""
+    proc = fresh_python(*args)
+    assert proc.returncode == 0, proc.stderr
+    *out, loaded = proc.stdout.splitlines()
+    return out, json.loads(loaded)
+
+
+class TestScipyLoadedOnDemand:
+    """Only ``track --baseline`` and solves above 362 spins import scipy.
+
+    pytest has imported scipy before any test runs, so a deferred import that
+    went missing (a ``NameError`` on ``sparse``) shows only in a new process.
+    """
+
+    def test_import_loads_no_scipy(self):
+        code = f"import json, sys, flextrack, flextrack.cli\n{_PRINT_SCIPY}"
+        assert scipy_modules_after("-c", code)[1] == []
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_track_loads_scipy_only_for_baseline(self, five_object_runs, tmp_path, baseline):
+        gt, proposed, in_process = five_object_runs
+        det = gt.replace(".gt.txt", ".det.txt")
+        out = str(tmp_path / "res.txt")
+        extra = ["--baseline"] if baseline else []
+        _, loaded = scipy_modules_after("-c", _RUN_MAIN, "track", det, "-o", out, *extra)
+        assert "scipy.optimize" in loaded if baseline else loaded == []
+        assert Path(out).read_bytes() == Path(in_process if baseline else proposed).read_bytes()
+
+    @pytest.mark.parametrize("n", [256, 400])
+    def test_dense_solve_qubo_loads_no_scipy(self, tmp_path, capsys, n):
+        # 400 variables pass the size test of the CSR rule but not its fill test
+        q = np.random.default_rng(n).normal(size=(n, n))
+        i, j = np.triu_indices(n)
+        lines = [f"{a} {b} {v!r}" for a, b, v in zip(i.tolist(), j.tolist(), q[i, j].tolist())]
+        qubo = write(tmp_path / "q.txt", "\n".join([str(n)] + lines) + "\n")
+        out, loaded = scipy_modules_after("-c", _RUN_MAIN, "solve-qubo", qubo)
+        assert loaded == []
+        assert main(["solve-qubo", qubo]) == 0
+        assert out == capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_assignment_above_362_spins_solves_on_csr(self, tmp_path, restarts):
+        rng = np.random.default_rng(20)
+        s = np.where(rng.uniform(size=(20, 20)) < 0.1, rng.uniform(0.05, 0.95, (20, 20)), 0.0)
+        path = str(tmp_path / "s.npy")
+        np.save(path, s)
+        (spins,), loaded = scipy_modules_after("-c", _SOLVE_ASSIGNMENT, path, str(restarts))
+        # solve_ising imported scipy.sparse: the 400-spin coupling went to CSR
+        assert "scipy.sparse" in loaded
+        p = qubo_to_ising(build_assignment_qubo(s, 1.0)[0])
+        want = solve_ising(p, SbParams(seed=3, restarts=restarts, n_steps=80))
+        assert json.loads(spins) == want.tolist()
