@@ -10,10 +10,11 @@ exactly:
     qubo_energy(p, b) == ising_energy(qubo_to_ising(p), 2b - 1) + offset
 
 The public constructors validate their input: ``QuboProblem`` checks shape
-and finiteness and symmetrizes, ``IsingProblem`` checks shapes, symmetry and a
-zero diagonal. The private ``_from_symmetric`` constructors store the arrays as
-given, unchecked and uncopied, and trust the caller for all of that: float64,
-square, non-empty, finite, exactly symmetric, and a zero Ising diagonal. Only
+and finiteness and symmetrizes, ``IsingProblem`` checks shapes, finiteness
+(of ``offset`` too), symmetry and a zero diagonal. The private
+``_from_symmetric`` constructors store the arrays as given, unchecked and
+uncopied, and trust the caller for all of that: float64, square, non-empty,
+finite, exactly symmetric, and a zero Ising diagonal. Only
 ``build_assignment_qubo`` and :func:`qubo_to_ising` use them, on matrices that
 are so by construction; file input and the CLI go through the public ones.
 
@@ -93,6 +94,8 @@ class IsingProblem:
             raise ValueError(
                 f"bias vector length {h.shape} does not match {j.shape[0]} spins"
             )
+        if not (np.all(np.isfinite(j)) and np.all(np.isfinite(h)) and np.isfinite(self.offset)):
+            raise ValueError("couplings, biases and offset must be finite")
         if not np.array_equal(j, j.T):
             raise ValueError("coupling matrix must be symmetric")
         if np.any(np.diag(j) != 0.0):

@@ -27,6 +27,35 @@ operations of the step above in the order written, so with a dense coupling
 its spins are bit-identical to iterating a one-step reference (``sb_step`` in
 the tests).
 
+The loop stops early once the state is frozen at the wall: after two
+consecutive steps in which every spin of every restart row ended strictly
+beyond the wall (``|x| > 1``) and the second step's clipped ``x`` equals the
+first's. The positions it returns are then exactly those of the full
+``n_steps`` run, because every later step repeats the second one:
+
+- after the first of the two steps every spin enters at ``(+/-1, 0)``, so the
+  coupling product ``J x`` is the same at every later step;
+- the detuning ``-(1 - k / n_steps)`` only weakens as ``k`` grows, so for a
+  spin at ``+1`` the term ``neg_detune * x`` only grows (only shrinks at
+  ``-1``), and it is exact since ``x = +/-1``;
+- each rounded operation of the kick and of ``x + y * dt`` (subtracting
+  ``eta * h``, adding the fixed force, multiplying by ``dt > 0``, adding to 0
+  and to ``x``) is monotone in that term, so a later step lands each spin at
+  least as far beyond the same wall as the second step did, and clips it to
+  the same place with ``y = 0`` again.
+
+The rule steps around two traps. A spin on the wall whose outward kick is
+too small to move it (``1 + y * dt`` rounds to ``1.0``), or one that lands
+exactly on ``1.0`` from inside, is not over: it keeps its nonzero ``y``, so an
+unchanged ``x`` is not yet a frozen state, and such a step does not count.
+And a large inward kick can take a spin from ``+1`` past ``-1`` in one step,
+over the wall both times; requiring the two clipped states to be equal rules
+that out. The argument needs a finite problem, which ``IsingProblem`` checks.
+On the paper's five-object scene (seeds 1 to 3) every strict-weight solve
+froze, half of them by step 126 of 400, and 86 of 135 tolerant-weight solves
+froze, half of those by step 382: the solves ran 70 % of their steps. Dense
+random QUBOs rarely freeze and pay for one count of the over-wall mask a step.
+
 Restarts are independent trajectories, so they are the rows of one
 ``(restarts, n)`` state and the loop steps them all at once. One draw of
 ``(restarts, n)`` momenta gives the numbers per-restart draws would give, in
@@ -87,7 +116,12 @@ from .ising import IsingProblem, QuboProblem, ising_energy, qubo_energy, qubo_to
 
 @dataclass(frozen=True)
 class SbParams:
-    """Solver parameters. The defaults are the operating point used throughout."""
+    """Solver parameters. The defaults are the operating point used throughout.
+
+    ``n_steps`` is the length of the pump schedule: step ``k`` pumps at
+    ``k / n_steps``. A solve may end before ``n_steps`` steps, once its state
+    is frozen at the wall, and then returns what the full schedule returns.
+    """
 
     c0: float = 0.8
     eta: float = 0.8
@@ -172,6 +206,7 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
         x, y, eta_h = x_rows.T, y_rows.T, params.eta * p.h[:, None]
     else:
         x, y, eta_h = x_rows[:, :, None], y_rows[:, :, None], params.eta * p.h[:, None]
+    walled = None  # x after the last step that took every spin over the wall
     for neg_detune in detuning:
         force = coupling @ x
         force *= c0
@@ -182,8 +217,16 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
         y += kick
         x += y * dt
         over = np.abs(x) > 1.0
-        np.copysign(1.0, x, out=x, where=over)
-        y[over] = 0.0
+        n_over = np.count_nonzero(over)
+        if n_over:
+            np.copysign(1.0, x, out=x, where=over)
+            y[over] = 0.0
+        if n_over < x.size:
+            walled = None
+        elif walled is not None and np.array_equal(x, walled):
+            break  # frozen: every later step clips the same spins to the same walls
+        else:
+            walled = x.copy()
     best_spins = None
     best_energy = np.inf
     for row in x_rows:

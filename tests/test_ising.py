@@ -83,6 +83,24 @@ class TestIsingEnergy:
         with pytest.raises(ValueError, match="symmetric"):
             IsingProblem(j=[[0.0, 1.0], [0.5, 0.0]], h=[0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "j,h,offset",
+        [
+            ([[0.0, np.inf], [np.inf, 0.0]], [0.0, np.nan], 0.0),
+            ([[0.0, np.inf], [np.inf, 0.0]], [0.0, 0.0], 0.0),
+            ([[0.0, np.nan], [np.nan, 0.0]], [0.0, 0.0], 0.0),
+            ([[0.0, -np.inf], [-np.inf, 0.0]], [0.0, 0.0], 0.0),
+            ([[0.0]], [np.inf], 0.0),
+            ([[0.0]], [np.nan], 0.0),
+            ([[0.0]], [0.0], np.nan),
+            ([[0.0]], [0.0], -np.inf),
+        ],
+    )
+    def test_rejects_non_finite(self, j, h, offset):
+        # a non-finite problem would make every energy nan and solve_ising return None
+        with pytest.raises(ValueError, match="finite"):
+            IsingProblem(j=j, h=h, offset=offset)
+
 
 class TestConversion:
     def test_diagonal_example(self):

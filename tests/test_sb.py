@@ -18,6 +18,7 @@ from flextrack.ising import (
     brute_force_qubo,
     ising_energy,
     qubo_to_ising,
+    spins_to_bits,
 )
 from flextrack.sb import SbParams, solve_ising, solve_qubo
 
@@ -69,6 +70,9 @@ def initial_state(n: int, rng: np.random.Generator, init_noise: float) -> SbStat
 def sb_step_loop(p, params):
     """``solve_ising`` written as a loop of ``sb_step`` calls: the fused loop's reference.
 
+    It runs all ``n_steps`` steps, so it is also the oracle of the fused loop's
+    stop once the state is frozen at the wall.
+
     Returns the spins and the final positions of every restart.
     """
     rng = np.random.default_rng(params.seed)
@@ -104,6 +108,9 @@ def fused_loop(p, params):
 def per_restart_loop(p, params):
     """The fused loop run once per restart, as ``solve_ising`` ran before its
     restarts became rows of one state: the stacked loop's oracle on any product.
+
+    It runs all ``n_steps`` steps, so it is also the oracle of the fused loop's
+    stop once the state is frozen at the wall.
 
     Returns the spins and the final positions of every restart.
     """
@@ -338,6 +345,114 @@ class TestStackedRestarts:
             assert np.array_equal(spins, rows[0])
             split += any(not np.array_equal(r, rows[0]) for r in rows[1:])
         assert split >= 3
+
+
+class CountingProduct:
+    """A coupling that counts its products with the state: one per step run."""
+
+    def __init__(self, coupling):
+        self.coupling, self.products = coupling, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.coupling @ x
+
+
+def counted_solve(p, params):
+    """``solve_ising``'s spins and the number of steps it ran, for one restart.
+
+    (With several restarts the wrapped coupling would pick the CSR row view.)
+    """
+    assert params.restarts == 1
+    made = []
+    coupling = sb._coupling
+
+    def counting(j):
+        made.append(CountingProduct(coupling(j)))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb, "_coupling", counting)
+        spins = solve_ising(p, params)
+    return spins, made[0].products
+
+
+class TestFrozenStop:
+    """``solve_ising`` stops once two steps in a row took every spin over the wall
+    to the same clipped state; it must return what the full ``n_steps`` run returns."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        frame=st.sampled_from([None, 16, 24]),
+        n=st.integers(1, 40),
+        c=st.sampled_from([0.1, 1.0]),
+        density=st.sampled_from([0.1, 0.3]),
+        restarts=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    @example(frame=16, n=1, c=1.0, density=0.3, restarts=1, seed=0)
+    @example(frame=24, n=1, c=1.0, density=0.1, restarts=4, seed=0)
+    @example(frame=24, n=1, c=0.1, density=0.3, restarts=2, seed=0)
+    def test_byte_equal_to_full_length_oracle(self, frame, n, c, density, restarts, seed):
+        # frame None: a random dense problem of n spins; 16 and 24: an m x m
+        # assignment frame at weight c (256 spins dense, 576 spins CSR)
+        if frame is None:
+            p = random_problem(n, seed)
+        else:
+            s = sparse_similarity(frame, density, seed)
+            p = qubo_to_ising(build_assignment_qubo(s, c)[0])
+        params = SbParams(seed=seed, restarts=restarts)
+        assert_same_run(fused_loop(p, params), per_restart_loop(p, params))
+
+    def test_wall_crossing_flip(self):
+        # an antiferromagnetic pair kicked over the wall together: every step
+        # takes both spins over, to the opposite wall each time, so the state
+        # never repeats and the solve runs to the end (an odd step count ends on +1)
+        p = IsingProblem(j=[[0.0, -100.0], [-100.0, 0.0]], h=[-20.0, -20.0])
+        params = SbParams(n_steps=41)
+        spins, steps = counted_solve(p, params)
+        assert steps == 41 and np.array_equal(spins, [1, 1])
+        assert_same_run(fused_loop(p, params), per_restart_loop(p, params))
+
+    def test_outward_kick_too_small_to_move_the_wall(self):
+        # one free spin thrown over the wall at step 0; at step 1 its outward
+        # kick is one ulp of the detuning, and 1 + kick * dt rounds to 1.0: the
+        # spin is not over and keeps that momentum, so steps 2 and 3 are the
+        # first two all-over steps
+        params = SbParams(eta=1.0, init_noise=10.0, seed=4)
+        assert np.random.default_rng(params.seed).uniform(-10.0, 10.0) > 3.5
+        neg_detune = -(1.0 - 1 / params.n_steps)
+        h = np.nextafter(neg_detune, -np.inf)
+        kick = (neg_detune - h) * params.dt
+        assert kick > 0.0 and 1.0 + kick * params.dt == 1.0
+        p = IsingProblem(j=[[0.0]], h=[h])
+        spins, steps = counted_solve(p, params)
+        assert steps == 4 and np.array_equal(spins, [1])
+        assert_same_run(fused_loop(p, params), per_restart_loop(p, params))
+
+    def test_spin_landing_on_the_wall_keeps_its_momentum(self):
+        # step 0 lands the spin exactly on x = 1.0 with y = 2, not over; its
+        # momentum carries it over at step 1 against the bias, which then pulls
+        # it to -1. Counting |x| == 1 as over would stop on +1 after step 1.
+        params = SbParams(eta=1.0, dt=0.5, init_noise=5.0, seed=5)
+        y0 = np.random.default_rng(params.seed).uniform(-5.0, 5.0)
+        assert 2.0 < y0 < 3.5
+        h = 2.0 * (y0 - 2.0)  # so that y0 - h * dt == 2.0 and 2.0 * dt == 1.0 exactly
+        p = IsingProblem(j=[[0.0]], h=[h])
+        spins, steps = counted_solve(p, params)
+        assert steps == 5 and np.array_equal(spins, [-1])
+        assert_same_run(fused_loop(p, params), per_restart_loop(p, params))
+
+    def test_stop_fires_on_a_strict_paper_frame(self):
+        rng = np.random.default_rng(0)
+        overlaps = np.where(rng.uniform(size=(5, 5)) < 0.2, rng.uniform(0.05, 0.3, (5, 5)), 0.0)
+        s = 0.7 * np.eye(5) + overlaps
+        p = qubo_to_ising(build_assignment_qubo(s, 1.0)[0])
+        params = SbParams()
+        spins, steps = counted_solve(p, params)
+        assert steps < params.n_steps
+        assert_same_run(fused_loop(p, params), per_restart_loop(p, params))
+        assert np.array_equal(spins_to_bits(spins).reshape(5, 5), np.eye(5))
 
 
 class TestCouplingProduct:
