@@ -15,11 +15,13 @@ coincidence does.
 
 ``flexible_assign`` solves the QUBO twice, once with a large penalty weight
 (strict one-to-one) and once with a small weight that tolerates many-to-one
-tables, then arbitrates: trackers matched in the large-weight table are
-``MATCH``; of the rest, those holding a bit in the small-weight table on a
-detection a ``MATCH`` claimed are ``POTENTIAL_MATCH`` (the hallmark of an
-occluded object hiding behind a matched detection); the remainder are
-``UNMATCH``.
+tables. It builds, solves and scores one weight completely before it builds
+the next, so a frame holds one dense ``(n_t*n_d)^2`` QUBO at a time, plus
+that solve's Ising couplings. It then arbitrates: trackers matched in the
+large-weight table are ``MATCH``; of the rest, those holding a bit in the
+small-weight table on a detection a ``MATCH`` claimed are ``POTENTIAL_MATCH``
+(the hallmark of an occluded object hiding behind a matched detection); the
+remainder are ``UNMATCH``.
 """
 
 from __future__ import annotations
@@ -129,22 +131,6 @@ def build_assignment_qubo(s, c: float) -> tuple[QuboProblem, float]:
     return QuboProblem._from_symmetric(q), dropped
 
 
-def check_one_to_one(b) -> bool:
-    """True iff the table satisfies the one-to-one equality constraints.
-
-    Sums must equal 1 on the shorter side of the matrix and never exceed 1 on
-    the longer side, so one-to-zero (surplus trackers) and zero-to-one (surplus
-    detections) are allowed while double coincidences are not.
-    """
-    b = _validate_table(b)
-    n_t, n_d = b.shape
-    cols = b.sum(axis=0)
-    rows = b.sum(axis=1)
-    col_ok = (cols == 1).all() if n_t >= n_d else (cols <= 1).all()
-    row_ok = (rows == 1).all() if n_t <= n_d else (rows <= 1).all()
-    return bool(col_ok and row_ok)
-
-
 def hungarian(s) -> np.ndarray:
     """Maximum-similarity one-to-one table with min(n_t, n_d) matched pairs.
 
@@ -212,6 +198,17 @@ def _arbitrate(
     return decisions, unmatched_detections
 
 
+def _solve_at(s: np.ndarray, c: float, solver) -> tuple[np.ndarray, float]:
+    """Build, solve and score the assignment QUBO at weight ``c``.
+
+    The dense QUBO is a local here, so it is freed on return, before the
+    caller builds the next weight's.
+    """
+    problem, _ = build_assignment_qubo(s, c)
+    bits = np.asarray(solver(problem)).astype(np.int64)
+    return bits, qubo_energy(problem, bits)
+
+
 def flexible_assign(
     s,
     solver,
@@ -221,21 +218,19 @@ def flexible_assign(
 ) -> AssignmentResult:
     """Solve the assignment QUBO at two penalty weights and arbitrate.
 
-    ``solver`` maps a :class:`QuboProblem` to a flat bit vector; inject the
-    simulated-bifurcation solver for production or the brute-force oracle for
-    tests. Matches with similarity below ``s_min`` are demoted to UNMATCH after
-    arbitration (``s_min = -inf`` disables gating).
+    The weights are built, solved and scored in turn, the large one first,
+    and each dense QUBO is freed before the next is built, so a frame holds
+    one of them at a time. ``solver`` maps a :class:`QuboProblem` to a flat
+    bit vector; inject the simulated-bifurcation solver for production or the
+    brute-force oracle for tests. Matches with similarity below ``s_min`` are
+    demoted to UNMATCH after arbitration (``s_min = -inf`` disables gating).
     """
     s = _validate_similarity(s)
     if not c_small < c_large:
         raise ValueError(f"need c_small < c_large, got {c_small} >= {c_large}")
     n_t, n_d = s.shape
-    problem_large, _ = build_assignment_qubo(s, c_large)
-    problem_small, _ = build_assignment_qubo(s, c_small)
-    bits_large = np.asarray(solver(problem_large)).astype(np.int64)
-    bits_small = np.asarray(solver(problem_small)).astype(np.int64)
-    energy_large = qubo_energy(problem_large, bits_large)
-    energy_small = qubo_energy(problem_small, bits_small)
+    bits_large, energy_large = _solve_at(s, c_large, solver)
+    bits_small, energy_small = _solve_at(s, c_small, solver)
     table_large, repairs = repair_table(bits_large.reshape(n_t, n_d), s)
     table_small = bits_small.reshape(n_t, n_d)
     decisions, unmatched = _arbitrate(table_large, table_small, s, s_min)

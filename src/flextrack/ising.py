@@ -17,6 +17,10 @@ uncopied, and trust the caller for all of that: float64, square, non-empty,
 finite, exactly symmetric, and a zero Ising diagonal. Only
 ``build_assignment_qubo`` and :func:`qubo_to_ising` use them, on matrices that
 are so by construction; file input and the CLI go through the public ones.
+Construction alone does not make the Ising biases and offset finite: they are
+sums of entries of a finite ``q``, and those can overflow. So
+:func:`qubo_to_ising` checks them itself, and raises ``ValueError`` before it
+wraps them.
 
 The module also provides :func:`brute_force_qubo`, an exhaustive minimizer used
 as the test oracle throughout the package (capped at 24 variables).
@@ -140,11 +144,6 @@ def ising_energy(p: IsingProblem, spins) -> float:
     return float(-0.5 * s @ p.j @ s + p.h @ s)
 
 
-def bits_to_spins(bits) -> np.ndarray:
-    """Map bits {0, 1} to spins {-1, +1} via ``s = 2b - 1``."""
-    return 2 * np.asarray(bits, dtype=np.int64) - 1
-
-
 def spins_to_bits(spins) -> np.ndarray:
     """Map spins {-1, +1} to bits {0, 1}."""
     return (np.asarray(spins, dtype=np.int64) + 1) // 2
@@ -158,14 +157,21 @@ def qubo_to_ising(p: QuboProblem) -> IsingProblem:
     ``sum(q)/4 + trace(q)/4``, is stored in ``offset`` so that
     ``qubo_energy(p, b) == ising_energy(result, 2b - 1) + result.offset``
     holds exactly for every bit vector.
+
+    Raises ``ValueError`` when ``h`` or ``offset`` overflows, as sums of a
+    finite ``q`` can.
     """
     q = p.q
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = q.sum(axis=1) / 2.0
+        offset = float(q.sum() + np.trace(q)) / 4.0
+    if not (np.isfinite(h).all() and np.isfinite(offset)):
+        raise ValueError("QUBO overflows in its Ising form: a row sum or the offset is not finite")
     # one pass: a product with -0.5 rounds exactly as -q / 2 does
     j = q * -0.5
     np.fill_diagonal(j, 0.0)
-    h = q.sum(axis=1) / 2.0
-    offset = float(q.sum() + np.trace(q)) / 4.0
-    # j is symmetric because q is, and its diagonal was just zeroed
+    # j is symmetric because q is, its diagonal was just zeroed, and halving
+    # a finite q keeps it finite
     return IsingProblem._from_symmetric(j, h, offset)
 
 

@@ -186,7 +186,9 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
 
     With ``restarts > 1``, runs that many independent trajectories (drawing all
     initial momenta from one seeded generator) and keeps the lowest-energy
-    digitized result, preferring the earliest run on ties.
+    digitized result, preferring the earliest run on ties. Raises
+    ``ValueError`` when no run's energy is finite, as on a problem whose
+    energies overflow.
 
     All trajectories are the rows of one state, stepped together by the fused
     loop described in the module docstring.
@@ -232,9 +234,11 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     for row in x_rows:
         spins = _digitize(row)
         energy = ising_energy(p, spins)
-        if energy < best_energy:
+        if energy < best_energy and math.isfinite(energy):
             best_energy = energy
             best_spins = spins
+    if best_spins is None:
+        raise ValueError("no restart reached a finite Ising energy: the problem overflows")
     return best_spins
 
 

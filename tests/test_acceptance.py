@@ -12,7 +12,6 @@ import numpy as np
 from flextrack.assign import (
     TrackerState,
     build_assignment_qubo,
-    check_one_to_one,
     flexible_assign,
     hungarian,
 )
@@ -41,6 +40,7 @@ from flextrack.track import (
     step,
 )
 from flextrack.assign import AssignmentResult, TrackerDecision
+from oracles import check_one_to_one
 
 # five objects: a slow overtake with a sweep across it and a head-on crossing
 FIVE_CROSSING = Path(__file__).resolve().parents[1] / "scenarios" / "five_crossing.txt"

@@ -1,27 +1,33 @@
 """Assignment QUBO construction, feasibility, Hungarian baseline, arbitration."""
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
+from flextrack import sb
 from flextrack.assign import (
+    DEFAULT_C_LARGE,
+    DEFAULT_C_SMALL,
     DEFAULT_S_MIN,
+    AssignmentResult,
     TrackerDecision,
     TrackerState,
     _arbitrate,
     build_assignment_qubo,
-    check_one_to_one,
     flexible_assign,
     hungarian,
     hungarian_assign,
     repair_table,
 )
+from flextrack.sb import SbParams, solve_qubo
 from flextrack.ising import IsingProblem, QuboProblem, brute_force_qubo, qubo_energy, qubo_to_ising
+from oracles import check_one_to_one
 
 
 def direct_cost(s, table, c):
@@ -87,6 +93,10 @@ def broadcast_qubo(s, c):
 
 def brute_solver(problem):
     return brute_force_qubo(problem)[0]
+
+
+def sb_solver(problem):
+    return solve_qubo(problem, SbParams())[0]
 
 
 def sparse_iou_like(rng, n_t, n_d, fill):
@@ -527,6 +537,58 @@ class TestFlexibleAssign:
                     assert dec.detection not in result.unmatched_detections
             assert len(matched) == len(set(matched))  # no detection matched twice
             assert sorted(matched + result.unmatched_detections) == list(range(n_d))
+
+
+def both_built_first(s, solver):
+    """``flexible_assign`` at the default weights with both QUBOs built before
+    either is solved: the reference for its one-weight-at-a-time order."""
+    n_t, n_d = s.shape
+    problem_large, _ = build_assignment_qubo(s, DEFAULT_C_LARGE)
+    problem_small, _ = build_assignment_qubo(s, DEFAULT_C_SMALL)
+    bits_large = np.asarray(solver(problem_large)).astype(np.int64)
+    bits_small = np.asarray(solver(problem_small)).astype(np.int64)
+    table_large, repairs = repair_table(bits_large.reshape(n_t, n_d), s)
+    table_small = bits_small.reshape(n_t, n_d)
+    decisions, unmatched = _arbitrate(table_large, table_small, s, DEFAULT_S_MIN)
+    return AssignmentResult(
+        decisions, unmatched, table_large, table_small, repairs,
+        qubo_energy(problem_large, bits_large), qubo_energy(problem_small, bits_small),
+    )
+
+
+class TestOneWeightAtATime:
+    """``flexible_assign`` builds, solves and scores one weight before it builds
+    the next, so a frame holds one dense QUBO at a time."""
+
+    def test_previous_weight_is_freed_before_the_next_solve(self):
+        seen = []
+
+        def solver(problem):
+            assert all(ref() is None for ref in seen), "the previous weight's QUBO is alive"
+            seen.append(weakref.ref(problem))
+            return brute_solver(problem)
+
+        flexible_assign(np.array([[0.8], [0.7]]), solver)
+        assert len(seen) == 2
+
+    # the 20 x 20 frame needs 3 repairs and parks one tracker; the 24 x 22 parks two
+    @pytest.mark.parametrize(
+        "n_t,n_d,fill,seed", [(20, 20, 0.05, 1), (24, 22, 0.15, 2), (21, 26, 0.2, 3)]
+    )
+    def test_same_result_as_building_both_first(self, n_t, n_d, fill, seed):
+        rng = np.random.default_rng(seed)
+        s = sparse_iou_like(rng, n_t, n_d, fill)
+        # the frame is large enough for the solver's CSR coupling product
+        assert issparse(sb._coupling(qubo_to_ising(build_assignment_qubo(s, DEFAULT_C_LARGE)[0]).j))
+        got = flexible_assign(s, sb_solver)
+        want = both_built_first(s, sb_solver)
+        assert np.array_equal(got.table_large, want.table_large)
+        assert np.array_equal(got.table_small, want.table_small)
+        assert (got.repairs, got.energy_large, got.energy_small) == (
+            want.repairs, want.energy_large, want.energy_small
+        )
+        assert got.decisions == want.decisions
+        assert got.unmatched_detections == want.unmatched_detections
 
 
 def loop_arbitrate(table_large, table_small, s, s_min):

@@ -33,6 +33,7 @@ from flextrack.sb import SbParams, solve_ising
 from flextrack.track import BoundingBox, TrackConfig
 
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 TWO_OBJECT_SPEC = """\
 frames 30
 occlusion_iou 0.6
@@ -227,6 +228,28 @@ class TestBadSettings:
         )
         assert proc.returncode == 2
         assert proc.stderr == "error: assignment QUBO overflows at penalty weight 1e+308\n"
+        assert proc.stdout == ""
+
+    def test_weight_whose_ising_form_overflows_prints_only_the_error(self, tmp_path):
+        # the QUBO is finite at 1e307, the Ising offset (its total sum) is not
+        prefix = str(tmp_path / "five")
+        spec = str(SCENARIOS / "five_crossing.txt")
+        assert main(["simulate", spec, "--seed", "1", "-o", prefix]) == 0
+        cfg = write(tmp_path / "cfg.txt", "c_large = 1e307\n")
+        proc = fresh_python(
+            "-m", "flextrack.cli", "track", prefix + ".det.txt", "-o", str(tmp_path / "r.txt"),
+            "--config", cfg,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stdout == ""
+
+    def test_qubo_whose_ising_form_overflows_prints_only_the_error(self, tmp_path):
+        entries = [f"{i} {j} 8e307" for i in range(3) for j in range(3)]
+        qubo = write(tmp_path / "q.txt", "\n".join(["3", *entries]) + "\n")
+        proc = fresh_python("-m", "flextrack.cli", "solve-qubo", qubo)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert proc.stdout == ""
 
     def test_gate_off_with_minus_inf(self, tmp_path):
@@ -513,7 +536,7 @@ class TestTrack:
 def five_object_runs(tmp_path_factory):
     """Simulate the five-object crossing and track it with both pipelines."""
     root = tmp_path_factory.mktemp("five")
-    spec = Path(__file__).resolve().parents[1] / "scenarios" / "five_crossing.txt"
+    spec = SCENARIOS / "five_crossing.txt"
     prefix = str(root / "sim")
     assert main(["simulate", str(spec), "-o", prefix]) == 0
     proposed = str(root / "proposed.txt")

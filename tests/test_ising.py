@@ -12,7 +12,6 @@ from flextrack.ising import (
     BRUTE_FORCE_MAX_VARS,
     IsingProblem,
     QuboProblem,
-    bits_to_spins,
     brute_force_qubo,
     ising_energy,
     qubo_energy,
@@ -20,6 +19,7 @@ from flextrack.ising import (
     read_qubo_file,
     spins_to_bits,
 )
+from oracles import bits_to_spins
 
 
 def all_bit_vectors(n):
@@ -112,6 +112,17 @@ class TestConversion:
         # the substitution identity at one corner of the cube
         assert qubo_energy(p, [0, 1]) == pytest.approx(-4.0)
         assert ising_energy(ising, [-1, 1]) + ising.offset == pytest.approx(-4.0)
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            np.full((3, 3), 8e307),  # finite, but the row sums and offset overflow
+            np.diag([8e307, 8e307]),  # only the offset overflows
+        ],
+    )
+    def test_overflowing_ising_form_is_rejected_without_a_warning(self, q):
+        with pytest.raises(ValueError, match="overflows in its Ising form"):
+            qubo_to_ising(QuboProblem(q))
 
     def test_all_zero(self):
         ising = qubo_to_ising(QuboProblem(np.zeros((3, 3))))

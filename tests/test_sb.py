@@ -2,6 +2,7 @@
 
 import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 from flextrack import sb
-from flextrack.assign import build_assignment_qubo, check_one_to_one, repair_table
+from flextrack.assign import build_assignment_qubo, repair_table
+from flextrack.cli import main
 from flextrack.ising import (
     IsingProblem,
     QuboProblem,
@@ -21,7 +23,9 @@ from flextrack.ising import (
     spins_to_bits,
 )
 from flextrack.sb import SbParams, solve_ising, solve_qubo
+from oracles import check_one_to_one
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 def zero_problem(n):
     return IsingProblem(j=np.zeros((n, n)), h=np.zeros(n))
@@ -253,6 +257,14 @@ class TestSolveIsing:
         multi = ising_energy(p, solve_ising(p, SbParams(seed=1, restarts=5)))
         assert multi <= single + 1e-12
 
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_no_finite_energy_raises(self, restarts):
+        # finite couplings and biases whose energies overflow to -inf or nan
+        p = IsingProblem(j=[[0.0, 1e308], [1e308, 0.0]], h=[1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="no restart reached a finite Ising energy"):
+                solve_ising(p, SbParams(restarts=restarts))
+
     def test_quality_invariant_up_to_16_vars(self):
         # never better than the oracle; matches it on at least 90% of instances
         hits = 0
@@ -463,6 +475,23 @@ class TestCouplingProduct:
         assert sparse.issparse(product) == is_sparse
         x = np.random.default_rng(m).uniform(-1, 1, p.n)
         assert np.allclose(product @ x, p.j @ x, rtol=0, atol=1e-12)
+
+    def test_crowd_scenario_takes_the_sparse_product(self, tmp_path, monkeypatch):
+        # the scene the byte-identity check runs at crowd scale must reach CSR
+        prefix = str(tmp_path / "crowd")
+        spec = str(SCENARIOS / "crowd24_overtakes.txt")
+        assert main(["simulate", spec, "--seed", "1", "-o", prefix]) == 0
+        kinds = []
+        coupling = sb._coupling
+
+        def recording(j):
+            product = coupling(j)
+            kinds.append(sparse.issparse(product))
+            return product
+
+        monkeypatch.setattr(sb, "_coupling", recording)
+        assert main(["track", prefix + ".det.txt", "-o", prefix + ".out.txt"]) == 0
+        assert any(kinds)
 
     def test_dense_coupling_stays_dense(self):
         p = random_problem(400, seed=1)
