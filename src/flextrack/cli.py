@@ -178,7 +178,8 @@ def cmd_track(args) -> int:
             # frames without trackers or without detections never call the assigner
             assigner.seconds = 0.0
             result: AssignmentResult = tracker.step(detections)
-            for t in sorted(tracker.trackers, key=lambda t: t.id):
+            # ascending ids: survivors keep their order, spawns take rising ids
+            for t in tracker.trackers:
                 box = t.box
                 # a side that would print as 0.00 could not be read back
                 if mot_printable(box):

@@ -8,7 +8,9 @@ positional jitter. This reproduces the detector-side signature of objects
 crossing and hiding one another without needing video or a detector.
 
 Metrics associate each visible ground-truth object per frame to the tracker
-box with maximal IOU (at least ``IOU_MIN`` by default) and report
+box with maximal IOU, provided that IOU is at least ``iou_min`` (``IOU_MIN`` by
+default). Of several trackers at that IOU, the last in the frame's track list
+wins. The metrics report
 
   * ``id_switches``: frames where an object's associated tracker id differs
     from its previously associated id
@@ -28,7 +30,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .track import BoundingBox, Detection, TrackConfig, iou, mot_printable
+from .track import BoundingBox, Detection, TrackConfig, _edges, iou_matrix, mot_printable
 
 # default association floor of the metrics
 IOU_MIN = 0.5
@@ -111,24 +113,18 @@ def generate(spec: ScenarioSpec, noise_seed: int | None = None) -> tuple[GroundT
             width, height = obj.box.width, obj.box.height
             if left + width > 0 and left < spec.width and top + height > 0 and top < spec.height:
                 boxes[i] = BoundingBox(left, top, width, height)
-        suppressed = set()
-        ids = sorted(boxes)
-        for ai in range(len(ids)):
-            for bi in range(ai + 1, len(ids)):
-                a, b = ids[ai], ids[bi]
-                if iou(boxes[a], boxes[b]) > spec.occlusion_iou:
-                    if boxes[a].area < boxes[b].area:
-                        suppressed.add(a)
-                    else:
-                        # equal areas hide the higher index
-                        suppressed.add(b)
+        # rows follow boxes, which is filled in index order, so a < b in each
+        # overlapping pair: the smaller area hides, and equal areas hide b
+        ids = list(boxes)
+        e = _edges(boxes.values())
+        a, b = np.nonzero(np.triu(iou_matrix(e, e) > spec.occlusion_iou, 1))
+        suppressed = {ids[i] for i in np.where(e[a, 4] < e[b, 4], a, b)}
         frame = {i: TruthEntry(box, i not in suppressed) for i, box in boxes.items()}
         frames.append(frame)
         emitted = []
-        for i in ids:
+        for i, box in boxes.items():
             if i in suppressed:
                 continue
-            box = boxes[i]
             if spec.jitter > 0:
                 dx, dy = rng.uniform(-spec.jitter, spec.jitter, size=2)
             else:
@@ -166,18 +162,19 @@ def associate(tracks_by_frame, gt: GroundTruth, iou_min: float = IOU_MIN) -> lis
         raise ValueError(f"iou_min must lie in (0, 1], got {iou_min}")
     out = []
     for frame_tracks, frame_gt in zip(tracks_by_frame, gt.frames):
-        assoc = {}
-        for obj, entry in sorted(frame_gt.items()):
-            if not entry.visible:
-                continue
-            best_id, best_iou = None, iou_min
-            for tracker_id, box in frame_tracks:
-                value = iou(entry.box, box)
-                if value >= best_iou:
-                    best_id, best_iou = tracker_id, value
-            if best_id is not None:
-                assoc[obj] = best_id
-        out.append(assoc)
+        visible = [obj for obj, entry in sorted(frame_gt.items()) if entry.visible]
+        if not (visible and frame_tracks):
+            out.append({})
+            continue
+        s = iou_matrix(_edges(frame_gt[obj].box for obj in visible),
+                       _edges(box for _, box in frame_tracks))
+        # the last tracker at the highest IOU: argmax over the reversed columns
+        best = s.shape[1] - 1 - s[:, ::-1].argmax(axis=1)
+        out.append({
+            obj: frame_tracks[t][0]
+            for obj, t, value in zip(visible, best, s.max(axis=1))
+            if value >= iou_min
+        })
     return out
 
 

@@ -150,16 +150,6 @@ class TrackConfig:
             raise ValueError(f"need c_small < c_large, got {self.c_small} >= {self.c_large}")
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0 when disjoint."""
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
-
-
 def _edges(boxes) -> np.ndarray:
     """Columns left, top, right, bottom and area of each box, as its properties give them."""
     return np.array([(b.left, b.top, b.right, b.bottom, b.area) for b in boxes]).reshape(-1, 5)
@@ -176,15 +166,15 @@ def _tracker_edges(trackers) -> np.ndarray:
     return np.column_stack([left, top, left + width, top + height, width * height])
 
 
-def similarity_matrix(trackers, detections) -> np.ndarray:
-    """IOU of every tracker's predicted box with every detection's box.
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IOU of every ``_edges`` row of ``a`` with every row of ``b``; 0 where disjoint.
 
-    ``s[t, d] == iou(trackers[t].box, detections[d].box)`` bit for bit: the
-    pairs are computed in one broadcast pass with :func:`iou`'s operations in
-    its order, as SORT batches them.
+    One broadcast pass computes every pair, as SORT batches them: the overlap's
+    width and height from the edges, their product, and that product over the
+    sum of the two areas less it. The tests' scalar ``iou`` is the same rule,
+    one pair at a time.
     """
-    a = _tracker_edges(trackers)[:, None, :]
-    b = _edges([d.box for d in detections])[None, :, :]
+    a, b = a[:, None, :], b[None, :, :]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     # disjoint pairs are left out: far apart, their gaps can overflow a product
@@ -192,6 +182,11 @@ def similarity_matrix(trackers, detections) -> np.ndarray:
     inter = np.multiply(iw, ih, out=np.zeros(iw.shape), where=overlap)
     union = a[..., 4] + b[..., 4] - inter
     return np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
+
+
+def similarity_matrix(trackers, detections) -> np.ndarray:
+    """IOU of every tracker's predicted box with every detection's box."""
+    return iou_matrix(_tracker_edges(trackers), _edges([d.box for d in detections]))
 
 
 def _box_to_z(box: BoundingBox) -> np.ndarray:

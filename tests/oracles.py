@@ -22,3 +22,49 @@ def check_one_to_one(b) -> bool:
 def bits_to_spins(bits) -> np.ndarray:
     """Map bits {0, 1} to spins {-1, +1} via ``s = 2b - 1``."""
     return 2 * np.asarray(bits, dtype=np.int64) - 1
+
+
+def iou(a, b) -> float:
+    """Intersection over union of two boxes; 0 when disjoint."""
+    iw = min(a.right, b.right) - max(a.left, b.left)
+    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a.area + b.area - inter)
+
+
+def loop_suppressed(boxes: dict, occlusion_iou: float) -> set:
+    """The generator's occlusion rule pair by pair: of two boxes over
+    ``occlusion_iou``, the smaller area hides, and equal areas hide the higher id."""
+    suppressed = set()
+    ids = sorted(boxes)
+    for ai in range(len(ids)):
+        for bi in range(ai + 1, len(ids)):
+            a, b = ids[ai], ids[bi]
+            if iou(boxes[a], boxes[b]) > occlusion_iou:
+                if boxes[a].area < boxes[b].area:
+                    suppressed.add(a)
+                else:
+                    suppressed.add(b)
+    return suppressed
+
+
+def loop_associate(tracks_by_frame, gt, iou_min: float) -> list[dict[int, int]]:
+    """The metrics' association pair by pair: each visible object goes to the
+    last tracker at the highest IOU, if that IOU is at least ``iou_min``."""
+    out = []
+    for frame_tracks, frame_gt in zip(tracks_by_frame, gt.frames):
+        assoc = {}
+        for obj, entry in sorted(frame_gt.items()):
+            if not entry.visible:
+                continue
+            best_id, best_iou = None, iou_min
+            for tracker_id, box in frame_tracks:
+                value = iou(entry.box, box)
+                if value >= best_iou:
+                    best_id, best_iou = tracker_id, value
+            if best_id is not None:
+                assoc[obj] = best_id
+        out.append(assoc)
+    return out

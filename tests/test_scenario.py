@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flextrack.scenario import (
     GroundTruth,
@@ -21,9 +23,9 @@ from flextrack.track import (
     BoundingBox,
     MultiObjectTracker,
     TrackConfig,
-    iou,
     make_baseline_assigner,
 )
+from oracles import iou, loop_associate, loop_suppressed
 
 FIVE_CROSSING = Path(__file__).resolve().parents[1] / "scenarios" / "five_crossing.txt"
 
@@ -234,6 +236,67 @@ class TestMetrics:
     def test_windows_from_truth(self):
         gt = make_gt("1001101")
         assert occlusion_windows(gt)[0] == [(1, 3), (5, 6)]
+
+
+# boxes on an integer grid, where ties and equal areas are common
+GRID_BOX = st.builds(BoundingBox, st.integers(0, 6), st.integers(0, 6),
+                     st.integers(1, 3), st.integers(1, 3))
+GRID_FRAME = st.tuples(
+    st.dictionaries(st.integers(0, 7), st.tuples(GRID_BOX, st.booleans()), max_size=6),
+    st.lists(st.tuples(st.integers(1, 5), GRID_BOX), max_size=6),
+)
+
+
+class TestKernelAgainstLoops:
+    """The metrics' association and the generator's occlusion rule take one IOU
+    matrix a frame, and give what the pair-by-pair loops they replaced give."""
+
+    @staticmethod
+    def assert_associations_agree(tracks, gt):
+        for iou_min in (0.05, 0.5, 1.0):
+            assert associate(tracks, gt, iou_min) == loop_associate(tracks, gt, iou_min)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(GRID_FRAME, min_size=1, max_size=4))
+    def test_association_matches_loop(self, frames):
+        gt = GroundTruth([{obj: TruthEntry(box, visible) for obj, (box, visible) in truth.items()}
+                          for truth, _ in frames])
+        self.assert_associations_agree([tracks for _, tracks in frames], gt)
+
+    def test_ties_go_to_the_last_tracker(self):
+        gt = make_gt("1")
+        box = BoundingBox(0, 0, 10, 10)
+        tracks = [[(4, box), (2, BoundingBox(5, 0, 10, 10)), (3, box)]]
+        assert associate(tracks, gt) == [{0: 3}]
+        self.assert_associations_agree(tracks, gt)
+
+    def test_frame_without_tracks(self):
+        gt = make_gt("11")
+        tracks = [[], [(1, BoundingBox(0, 0, 10, 10))]]
+        assert associate(tracks, gt) == [{}, {0: 1}]
+        self.assert_associations_agree(tracks, gt)
+
+    def test_frame_without_visible_objects(self):
+        gt = make_gt("01")
+        tracks = tracks_with_ids([1, 1])
+        assert associate(tracks, gt) == [{}, {0: 1}]
+        self.assert_associations_agree(tracks, gt)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.builds(MovingObject, GRID_BOX, st.integers(-1, 1), st.integers(-1, 1)),
+                 min_size=1, max_size=8),
+        st.sampled_from([0.05, 0.3, 0.5, 1.0]),
+    )
+    def test_generate_matches_loop(self, objects, occlusion_iou):
+        spec = ScenarioSpec(objects=objects, n_frames=4, occlusion_iou=occlusion_iou,
+                            width=8.0, height=8.0, jitter=0.0)
+        gt, detections = generate(spec)
+        for frame, emitted in zip(gt.frames, detections):
+            hidden = loop_suppressed({i: entry.box for i, entry in frame.items()}, occlusion_iou)
+            assert {i for i, entry in frame.items() if not entry.visible} == hidden
+            assert [d.box for d in emitted] == [e.box for i, e in sorted(frame.items())
+                                                if i not in hidden]
 
 
 class TestParseScenario:

@@ -23,13 +23,14 @@ from flextrack.track import (
     Tracker,
     _edges,
     _tracker_edges,
-    iou,
+    iou_matrix,
     new_tracker,
     predict,
     similarity_matrix,
     step,
     update,
 )
+from oracles import iou
 
 
 def det(left, top, width, height, confidence=1.0):
@@ -55,18 +56,25 @@ def scripted_assigner(states):
     return assigner
 
 
+def kernel_iou(a, b):
+    return iou_matrix(_edges([a]), _edges([b]))[0, 0]
+
+
 class TestIou:
+    """The scalar oracle, and the kernel on the same pair."""
+
     def test_identical(self):
         a = BoundingBox(3, 4, 10, 12)
-        assert iou(a, a) == 1.0
+        assert iou(a, a) == kernel_iou(a, a) == 1.0
 
     def test_disjoint(self):
-        assert iou(BoundingBox(0, 0, 2, 2), BoundingBox(10, 10, 2, 2)) == 0.0
+        a, b = BoundingBox(0, 0, 2, 2), BoundingBox(10, 10, 2, 2)
+        assert iou(a, b) == kernel_iou(a, b) == 0.0
 
     def test_partial_overlap(self):
         a = BoundingBox(0, 0, 2, 2)
         b = BoundingBox(1, 0, 2, 2)
-        assert iou(a, b) == pytest.approx(1 / 3)
+        assert iou(a, b) == kernel_iou(a, b) == pytest.approx(1 / 3)
 
     def test_bad_box_rejected(self):
         with pytest.raises(ValueError):
@@ -191,6 +199,8 @@ class TestSimilarityMatrix:
 
     @pytest.mark.parametrize("n_t,n_d", [(0, 0), (0, 3), (3, 0)])
     def test_empty_shapes(self, n_t, n_d):
+        # similarity_matrix is the kernel on the two edge arrays, so these are
+        # also the kernel's 0 x n and n x 0 cases
         assert_bit_identical(trackers_at([(i, i, 2, 2) for i in range(n_t)]),
                              [det(i, i, 2, 2) for i in range(n_d)])
 
@@ -591,3 +601,52 @@ class TestLifecycleProperties:
                     assert t.id not in seen_ids
                     seen_ids.add(t.id)
             trackers = survivors
+
+
+# an object of a crowded scene, on its own cell of a 6-wide grid at a 100-pixel
+# pitch: offset from the cell's corner, size and velocity in pixels, and the
+# first frame and length of a run without its detection. Neighbours overlap and
+# cross, but no crowd piles onto one spot: SB leaves the strict table of such an
+# all-tied frame empty from 10 x 10 up, so every detection would spawn
+CROWD_OBJECT = st.tuples(
+    st.integers(-30, 30), st.integers(-30, 30), st.integers(30, 70), st.integers(30, 70),
+    st.integers(-6, 6), st.integers(-6, 6), st.integers(0, 14), st.integers(0, 8),
+)
+
+
+class TestNorthStarInvariants:
+    """The pipeline's guarantees on crowded scenes through the default SB
+    assigner, whatever tables the solver returns."""
+
+    @staticmethod
+    def check_frame(mot, result):
+        table = result.table_large
+        assert (table.sum(axis=0) <= 1).all() and (table.sum(axis=1) <= 1).all()
+        claimed = {d.detection for d in result.decisions if d.state is TrackerState.MATCH}
+        assert len(claimed) == sum(d.state is TrackerState.MATCH for d in result.decisions)
+        for decision in result.decisions:
+            if decision.state is TrackerState.POTENTIAL_MATCH:
+                assert decision.detection in claimed
+                assert decision.detection not in result.unmatched_detections
+        ids = [t.id for t in mot.trackers]
+        assert ids == sorted(set(ids))
+        for t in mot.trackers:
+            assert np.isfinite(t.x).all() and np.isfinite(t.cov).all()
+            scale = np.abs(t.cov).max()
+            assert np.abs(t.cov - t.cov.T).max() <= 1e-9 * scale
+            assert np.linalg.eigvalsh((t.cov + t.cov.T) / 2.0)[0] >= -1e-9 * scale
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        objects=st.lists(CROWD_OBJECT, min_size=16, max_size=24),
+        n_frames=st.integers(10, 15),
+    )
+    def test_crowded_scenes(self, objects, n_frames):
+        mot = MultiObjectTracker()
+        for k in range(n_frames):
+            detections = [
+                det(100 * (i % 6) + dx + k * vx, 100 * (i // 6) + dy + k * vy, width, height)
+                for i, (dx, dy, width, height, vx, vy, hide_from, hide_for) in enumerate(objects)
+                if not hide_from <= k < hide_from + hide_for
+            ]
+            self.check_frame(mot, mot.step(detections))
