@@ -21,8 +21,9 @@ Initialization: positions start at zero and momenta are drawn uniformly from
 ``SbParams.seed``, so a solve is fully deterministic for a fixed seed.
 
 :func:`solve_ising` runs one fused loop over in-place ``x`` and ``y``
-arrays: no state object per step, the detuning evaluated once per step index
-before the loop, and ``eta * h`` computed once. It performs the floating-point
+arrays: no state object per step, the detuning of every step index built once
+per ``n_steps`` and kept (:func:`_schedule`, the last 8 lengths), and
+``eta * h`` computed once per solve. It performs the floating-point
 operations of the step above in the order written, so with a dense coupling
 its spins are bit-identical to iterating a one-step reference (``sb_step`` in
 the tests).
@@ -60,16 +61,29 @@ Restarts are independent trajectories, so they are the rows of one
 ``(restarts, n)`` state and the loop steps them all at once. One draw of
 ``(restarts, n)`` momenta gives the numbers per-restart draws would give, in
 the same order. Each row then sees exactly the arithmetic it would see alone;
-only the coupling product needs care, and its form depends on the case:
+only the coupling product needs care. Its form depends on the case, and
+before its loop each solve picks the cheapest entry that gives the bits of
+``J @ x`` (:func:`_product`). Per product, with one BLAS thread on a two-core
+Xeon host:
 
-- one restart: ``J @ x`` on the single row; a stacked product with one row
-  made the solves of 5 x 5 and 24 x 24 tracking frames 15 to 17 % slower;
+- one restart, dense ``J`` in C or Fortran order: ``J.dot(x)``. It makes the
+  same BLAS ``dgemv`` call as ``J @ x`` at half the dispatch, 0.47 against
+  0.87 us at 25 spins. A strided ``J`` keeps ``J @ x``, because there
+  ``dot`` rounds differently (100 of 100 vectors at 25 spins);
+- one restart, CSR ``J``: scipy's private ``_sparsetools.csr_matvec`` into a
+  fresh zeroed array. ``J @ x`` runs that same kernel after about 2 us of
+  checks: 14.9 against 16.9 us on a 651-spin (21 x 31) frame;
 - dense ``J``, several restarts: ``J`` against each row as a matrix-vector
-  product (``matmul`` on an ``(restarts, n, 1)`` view), which BLAS computes
+  product (``J @ x`` on an ``(restarts, n, 1)`` view), which BLAS computes
   as it computes ``J @ x`` per row; ``x @ J`` and ``J @ x.T`` are
   matrix-matrix products, and neither was bit-identical on 256 spins;
 - CSR ``J``, several restarts: ``J @ x.T``, scipy's multi-vector kernel,
   which sums each row's products in the single-vector order.
+
+Anything else, such as a wrapped coupling, goes through
+``coupling.__matmul__``, the method that ``coupling @ x`` calls.
+Besides the product, a step makes 8 NumPy arithmetic calls and 3 to 5 for
+the wall, so at 25 spins it costs little more than NumPy's fixed cost per call.
 
 The spins are digitized and scored row by row, and the earliest restart wins
 a tie.
@@ -106,6 +120,7 @@ the wall, and strict tables came out one-to-one less often.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,6 +147,10 @@ class SbParams:
     init_noise: float = 0.1
 
     def __post_init__(self):
+        for name in ("n_steps", "restarts", "seed"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("c0", "eta", "dt", "init_noise"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -141,8 +160,15 @@ class SbParams:
             raise ValueError("n_steps must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.init_noise < 0:
             raise ValueError("init_noise must be non-negative")
+        if self.init_noise > np.finfo(np.float64).max / 2:
+            # the momenta are drawn from a range 2 * init_noise wide
+            raise ValueError(
+                f"init_noise must be at most half the largest float, got {self.init_noise}"
+            )
 
 
 # thresholds of the product rule in _coupling; 2**17 entries are 1 MiB of float64
@@ -181,6 +207,36 @@ def _coupling(j: np.ndarray):
     return sparse.csr_array((j.ravel()[flat], indices, indptr), shape=j.shape)
 
 
+@functools.lru_cache(maxsize=8)
+def _schedule(n_steps: int) -> tuple[float, ...]:
+    """The term ``-(1 - k / n_steps)`` of every step ``k``, built once per ``n_steps``."""
+    return tuple(-(1.0 - k / n_steps) for k in range(n_steps))
+
+
+def _product(coupling, x: np.ndarray):
+    """``coupling @ x`` as a one-argument call, through its cheapest entry that
+    gives the same bits (the module docstring lists the cases)."""
+    if x.ndim == 1 and type(coupling) is np.ndarray and (
+        coupling.flags.c_contiguous or coupling.flags.f_contiguous
+    ):
+        return coupling.dot
+    if x.ndim == 1 and getattr(coupling, "format", None) == "csr" and coupling.dtype == x.dtype:
+        # the kernel csr_array.__matmul__ runs for one vector, without its checks
+        from scipy.sparse import _sparsetools
+
+        matvec = _sparsetools.csr_matvec
+        rows, cols = coupling.shape
+        indptr, indices, data = coupling.indptr, coupling.indices, coupling.data
+
+        def csr_matvec(x):
+            out = np.zeros(rows)
+            matvec(rows, cols, indptr, indices, data, x, out)
+            return out
+
+        return csr_matvec
+    return coupling.__matmul__
+
+
 def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     """Run the solver and return a +/-1 spin vector.
 
@@ -196,7 +252,6 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     rng = np.random.default_rng(params.seed)
     c0, dt = params.c0, params.dt
     coupling = _coupling(p.j)
-    detuning = [-(1.0 - k / params.n_steps) for k in range(params.n_steps)]
     # one draw gives every restart's momenta in the order per-restart draws would
     x_rows = np.zeros((params.restarts, p.n))
     y_rows = rng.uniform(-params.init_noise, params.init_noise, size=x_rows.shape)
@@ -208,9 +263,10 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
         x, y, eta_h = x_rows.T, y_rows.T, params.eta * p.h[:, None]
     else:
         x, y, eta_h = x_rows[:, :, None], y_rows[:, :, None], params.eta * p.h[:, None]
+    product = _product(coupling, x)
     walled = None  # x after the last step that took every spin over the wall
-    for neg_detune in detuning:
-        force = coupling @ x
+    for neg_detune in _schedule(params.n_steps):
+        force = product(x)
         force *= c0
         kick = neg_detune * x
         kick -= eta_h

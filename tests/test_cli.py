@@ -252,6 +252,38 @@ class TestBadSettings:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        # the momenta's range 2 * init_noise overflows; a seed numpy cannot take
+        [("--init-noise", "1e308"), ("--seed", "-1")],
+    )
+    def test_solve_qubo_setting_out_of_range_prints_only_the_error(self, tmp_path, flag, value):
+        qubo = write(tmp_path / "q.txt", "1\n0 0 -2.5\n")
+        proc = fresh_python("-m", "flextrack.cli", "solve-qubo", qubo, flag, value)
+        assert proc.returncode == 2
+        key = flag[2:].replace("-", "_")
+        assert proc.stderr.startswith(f"error: {key} must ") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "config,extra",
+        [("init_noise = 1e308\n", []), ("seed = -1\n", []), ("", ["--seed", "-1"])],
+    )
+    def test_track_setting_out_of_range_prints_only_the_error(self, tmp_path, config, extra):
+        det = write(
+            tmp_path / "det.txt",
+            "1,-1,10,20,30,40,1,-1,-1,-1\n2,-1,12,20,30,40,1,-1,-1,-1\n",
+        )
+        cfg = write(tmp_path / "cfg.txt", config)
+        out = tmp_path / "r.txt"
+        proc = fresh_python(
+            "-m", "flextrack.cli", "track", det, "-o", str(out), "--config", cfg, *extra
+        )
+        assert proc.returncode == 2
+        key = "init_noise" if "init_noise" in config else "seed"
+        assert proc.stderr.startswith(f"error: {key} must ") and proc.stderr.count("\n") == 1
+        assert proc.stdout == "" and not out.exists()
+
     def test_gate_off_with_minus_inf(self, tmp_path):
         det = write(tmp_path / "det.txt", "1,-1,10,20,30,40,1,-1,-1,-1\n")
         cfg = write(tmp_path / "cfg.txt", "s_min = -inf\n")

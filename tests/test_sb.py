@@ -41,29 +41,36 @@ def random_problem(n, seed):
 
 @dataclass(frozen=True)
 class SbState:
-    """Oscillator positions, momenta, and the index of the next step."""
+    """Oscillator positions, momenta, the index of the next step, and whether
+    the step that led here took every spin over the wall."""
 
     x: np.ndarray
     y: np.ndarray
     k: int = 0
+    all_over: bool = False
 
 
-def sb_step(state: SbState, p: IsingProblem, params: SbParams) -> SbState:
-    """Advance the oscillator network by one time step: ``solve_ising``'s one-step reference."""
+def sb_step(state: SbState, p: IsingProblem, params: SbParams, coupling=None) -> SbState:
+    """Advance the oscillator network by one time step: ``solve_ising``'s one-step reference.
+
+    The coupling product is ``coupling @ x``, with ``p.j`` unless another
+    form of the couplings (such as a CSR copy) is given.
+    """
     if state.x.shape != (p.n,) or state.y.shape != (p.n,):
         raise ValueError(
             f"state dimension {state.x.shape} does not match problem size {p.n}"
         )
+    j = p.j if coupling is None else coupling
     pump = state.k / params.n_steps
     y = state.y + (
-        -(1.0 - pump) * state.x - params.eta * p.h + params.c0 * (p.j @ state.x)
+        -(1.0 - pump) * state.x - params.eta * p.h + params.c0 * (j @ state.x)
     ) * params.dt
     x = state.x + y * params.dt
     over = np.abs(x) > 1.0
     if over.any():
         x = np.where(over, np.sign(x), x)
         y = np.where(over, 0.0, y)
-    return SbState(x=x, y=y, k=state.k + 1)
+    return SbState(x=x, y=y, k=state.k + 1, all_over=bool(over.all()))
 
 
 def initial_state(n: int, rng: np.random.Generator, init_noise: float) -> SbState:
@@ -74,24 +81,35 @@ def initial_state(n: int, rng: np.random.Generator, init_noise: float) -> SbStat
 def sb_step_loop(p, params):
     """``solve_ising`` written as a loop of ``sb_step`` calls: the fused loop's reference.
 
-    It runs all ``n_steps`` steps, so it is also the oracle of the fused loop's
-    stop once the state is frozen at the wall.
+    The product is ``coupling @ x`` on the form ``sb._coupling`` picks, so
+    on a sparse coupling above 362 spins it is scipy's CSR product. It runs
+    all ``n_steps`` steps, so it is also the oracle of the fused loop's stop
+    once the state is frozen at the wall.
 
-    Returns the spins and the final positions of every restart.
+    Returns the spins, the final positions of every restart, and the number
+    of steps the fused loop should run: up to the first step at which every
+    restart repeats the clipped state of the step before, both steps having
+    taken every spin over the wall.
     """
     rng = np.random.default_rng(params.seed)
+    coupling = sb._coupling(p.j)
     best_spins, best_energy = None, np.inf
-    positions = []
+    positions, repeats = [], []
     for _ in range(params.restarts):
         state = initial_state(p.n, rng, params.init_noise)
+        repeated = []
         for _ in range(params.n_steps):
-            state = sb_step(state, p, params)
+            after = sb_step(state, p, params, coupling)
+            repeated.append(after.all_over and state.all_over and np.array_equal(after.x, state.x))
+            state = after
+        repeats.append(repeated)
         positions.append(state.x)
         spins = np.where(state.x >= 0.0, 1, -1)
         energy = ising_energy(p, spins)
         if energy < best_energy:
             best_spins, best_energy = spins, energy
-    return best_spins, positions
+    steps = next((k + 1 for k, rows in enumerate(zip(*repeats)) if all(rows)), params.n_steps)
+    return best_spins, positions, steps
 
 
 def fused_loop(p, params):
@@ -303,6 +321,27 @@ class TestSolveQubo:
         with pytest.raises(ValueError):
             SbParams(restarts=0)
 
+    @pytest.mark.parametrize("name", ["n_steps", "restarts", "seed"])
+    @pytest.mark.parametrize("value", [10.0, 2.0, True, False, "3", None])
+    def test_counts_and_seed_must_be_ints(self, name, value):
+        # a float would be rejected only inside the solve, and a bool taken as 0 or 1
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SbParams(**{name: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SbParams(seed=-1)
+
+    def test_init_noise_range_must_be_finite(self):
+        # the momenta are drawn from [-init_noise, init_noise], a range
+        # 2 * init_noise wide, which numpy's uniform draw must represent
+        half = np.finfo(np.float64).max / 2
+        for bad in (1e308, np.nextafter(half, np.inf)):
+            with pytest.raises(ValueError, match="init_noise"):
+                SbParams(init_noise=bad)
+        spins = solve_ising(IsingProblem(j=[[0.0]], h=[-1.0]), SbParams(init_noise=half, seed=1))
+        assert spins.shape == (1,)
+
 
 class TestFusedLoop:
     @pytest.mark.parametrize(
@@ -389,6 +428,44 @@ def counted_solve(p, params):
     return spins, made[0].products
 
 
+def entry_solve(p, params):
+    """``solve_ising``'s spins, final positions, the number of steps it ran and
+    the name of the product entry it chose, with that entry left in place.
+
+    The entries are ``dot`` (a contiguous dense ``J``, one restart),
+    ``csr_matvec`` (a CSR ``J``, one restart) and ``__matmul__`` (what the
+    ``@`` operator calls, for everything else).
+    """
+    names, steps = [], []
+    choose = sb._product
+
+    def counting(coupling, x):
+        product = choose(coupling, x)
+        names.append(product.__name__)
+
+        def counted(x):
+            steps.append(None)
+            return product(x)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb, "_product", counting)
+        spins, positions = fused_loop(p, params)
+    return spins, positions, len(steps), names[0]
+
+
+def laid_out(p, layout):
+    """``p`` with its couplings in C order, in Fortran order, or as a strided view."""
+    if layout == "C":
+        return p
+    if layout == "F":
+        return IsingProblem(j=np.asfortranarray(p.j), h=p.h)
+    spread = np.zeros((2 * p.n, 2 * p.n))
+    spread[::2, ::2] = p.j
+    return IsingProblem(j=spread[::2, ::2], h=p.h)
+
+
 class TestFrozenStop:
     """``solve_ising`` stops once two steps in a row took every spin over the wall
     to the same clipped state; it must return what the full ``n_steps`` run returns."""
@@ -465,6 +542,84 @@ class TestFrozenStop:
         assert steps < params.n_steps
         assert_same_run(fused_loop(p, params), per_restart_loop(p, params))
         assert np.array_equal(spins_to_bits(spins).reshape(5, 5), np.eye(5))
+
+
+class TestProductEntries:
+    """``solve_ising`` calls the coupling product through its cheapest entry that
+    gives the bits of ``coupling @ x``: ``J.dot`` for a contiguous dense ``J`` and
+    scipy's CSR kernel for a CSR ``J``, with one restart; ``@`` otherwise."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        layout=st.sampled_from(["C", "F", "strided"]),
+        frame=st.sampled_from([None, (19, 19), (19, 20), (20, 20)]),
+        n=st.integers(1, 40),
+        restarts=st.sampled_from([1, 2, 4]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(layout="C", frame=None, n=25, restarts=1, seed=0)
+    @example(layout="F", frame=None, n=25, restarts=1, seed=0)
+    @example(layout="strided", frame=None, n=25, restarts=1, seed=0)
+    @example(layout="F", frame=(19, 19), n=1, restarts=1, seed=0)
+    @example(layout="strided", frame=(19, 20), n=1, restarts=1, seed=0)
+    @example(layout="C", frame=(20, 20), n=1, restarts=4, seed=0)
+    def test_spins_and_stop_step_equal_the_reference(self, layout, frame, n, restarts, seed):
+        # frame None: a random dense problem of n spins; otherwise an n_t x n_d
+        # assignment frame at c = 1: 361 spins dense, 380 and 400 spins CSR
+        if frame is None:
+            p = random_problem(n, seed)
+        else:
+            rng = np.random.default_rng(seed)
+            s = np.where(rng.uniform(size=frame) < 0.1, rng.uniform(0.05, 0.95, frame), 0.0)
+            p = qubo_to_ising(build_assignment_qubo(s, 1.0)[0])
+        p = laid_out(p, layout)
+        csr = frame is not None and frame != (19, 19)
+        params = SbParams(seed=seed, restarts=restarts)
+        spins, positions, steps, entry = entry_solve(p, params)
+        want_spins, want_positions, want_steps = sb_step_loop(p, params)
+        assert_same_run((spins, positions), (want_spins, want_positions))
+        assert steps == want_steps
+        if restarts > 1 or (layout == "strided" and not csr and p.n > 1):
+            assert entry == "__matmul__"
+        else:
+            assert entry == ("csr_matvec" if csr else "dot")
+        if restarts == 1:
+            # a wrapped coupling (as the stop tests count with) takes the
+            # __matmul__ entry and still sees every product
+            counted_spins, counted_steps = counted_solve(p, params)
+            assert np.array_equal(counted_spins, spins) and counted_steps == steps
+
+    @pytest.mark.parametrize("make", ["assignment", "sparse_rows", "scipy_conversion"])
+    def test_csr_kernel_is_scipys_product_bit_for_bit(self, make):
+        # the private scipy kernel must give what csr_array @ x gives, so a
+        # change to scipy's private entry fails here first
+        if make == "assignment":
+            j = qubo_to_ising(build_assignment_qubo(sparse_similarity(24, 0.1, 24), 1.0)[0]).j
+        else:
+            # 400 spins with 300 coupled pairs: about a fifth of the rows are empty
+            j = symmetric_with_nonzeros(400, 300, seed=4)
+        csr = sparse.csr_array(j) if make == "scipy_conversion" else sb._coupling(j)
+        assert sparse.issparse(csr)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            x = rng.uniform(-1.5, 1.5, j.shape[0])
+            x[rng.uniform(size=x.size) < 0.3] = rng.choice((-1.0, 1.0))
+            product = sb._product(csr, x)
+            assert product.__name__ == "csr_matvec"
+            got, want = product(x), csr @ x
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_dense_dot_is_matmul_bit_for_bit(self, layout):
+        p = laid_out(random_problem(25, seed=3), layout)
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            x = rng.uniform(-1.5, 1.5, p.n)
+            assert sb._product(p.j, x)(x).tobytes() == (p.j @ x).tobytes()
+
+    def test_schedule_is_built_once_per_length(self):
+        assert sb._schedule(400) is sb._schedule(400)
+        assert sb._schedule(3) == (-1.0, -(1.0 - 1 / 3), -(1.0 - 2 / 3))
 
 
 class TestCouplingProduct:
