@@ -61,10 +61,15 @@ Restarts are independent trajectories, so they are the rows of one
 ``(restarts, n)`` state and the loop steps them all at once. One draw of
 ``(restarts, n)`` momenta gives the numbers per-restart draws would give, in
 the same order. Each row then sees exactly the arithmetic it would see alone;
-only the coupling product needs care. Its form depends on the case, and
-before its loop each solve picks the cheapest entry that gives the bits of
-``J @ x`` (:func:`_product`). Per product, with one BLAS thread on a two-core
-Xeon host:
+only the coupling product needs care. It dominates a step at large ``n``
+(Goto, Tatsumura & Dixon, Sci. Adv. 5:eaav2372, 2019), so ``J`` comes in the
+form ``ising.qubo_to_ising`` or the ``IsingProblem`` constructor chose once
+(the ``ising`` docstring has the rule), and ``qubo_to_ising(p).j`` may be a
+CSR array: above 362 spins when at most one in eight entries is nonzero, as
+on assignment frames from 20 x 20 up, else it is dense, C-ordered and aligned
+to 64 bytes. Before its loop each solve picks the cheapest entry that gives
+the bits of ``J @ x`` (:func:`_product`). Per product, one BLAS thread on a
+two-core Xeon host:
 
 - one restart, dense ``J`` in C or Fortran order: ``J.dot(x)``. It makes the
   same BLAS ``dgemv`` call as ``J @ x`` at half the dispatch, 0.47 against
@@ -76,7 +81,9 @@ Xeon host:
 - dense ``J``, several restarts: ``J`` against each row as a matrix-vector
   product (``J @ x`` on an ``(restarts, n, 1)`` view), which BLAS computes
   as it computes ``J @ x`` per row; ``x @ J`` and ``J @ x.T`` are
-  matrix-matrix products, and neither was bit-identical on 256 spins;
+  matrix-matrix products, and neither was bit-identical on 256 spins. Four
+  rows at 256 spins take 19-21 us, against 27-31 us with ``J`` at 16 or 48
+  mod 64 bytes, where ``malloc`` may put it (same bits);
 - CSR ``J``, several restarts: ``J @ x.T``, scipy's multi-vector kernel,
   which sums each row's products in the single-vector order.
 
@@ -84,42 +91,18 @@ Anything else, such as a wrapped coupling, goes through
 ``coupling.__matmul__``, the method that ``coupling @ x`` calls.
 Besides the product, a step makes 8 NumPy arithmetic calls and 3 to 5 for
 the wall, so at 25 spins it costs little more than NumPy's fixed cost per call.
-
 The spins are digitized and scored row by row, and the earliest restart wins
-a tie.
-
-The coupling product ``J @ x`` dominates a step at large ``n`` (Goto,
-Tatsumura & Dixon, Sci. Adv. 5:eaav2372, 2019). The assignment coupling has
-only ``n_t + n_d - 2`` nonzeros per row, so when ``J`` has more than 2**17
-entries (``n > 362``) and at most one in eight of them is nonzero, the solve
-multiplies by a ``scipy.sparse`` CSR copy built once per solve; otherwise it
-keeps the dense BLAS product. scipy is imported only to build that copy, so
-the package loads scipy only for such solves and for ``track --baseline``
-(``assign.hungarian``). The CSR arrays come straight from one nonzero
-mask of ``J`` (see :func:`_coupling`) rather than from scipy's conversion of
-the dense matrix through COO, which took 2 ms of a solve at 31 x 21 against
-0.6 ms. Measured per product with one BLAS thread on a two-core Xeon host
-(assignment couplings, square ``m x m`` grids):
-
-    m    n      dense     CSR
-    5    25     1.8 us    5.5 us
-    15   225    9.3 us    10.9 us
-    19   361    23 us     16 us
-    24   576    96 us     18 us
-    32   1024   360 us    38 us
-
-Whole 200-step solves were within 10 % of each other at 19 x 19, and the CSR
-solve was 2x faster at 24 x 24. With random sparsity patterns CSR lost to
-dense above a fill of about 1/8 at ``n = 400`` and about 1/4 at ``n = 1024``.
-CSR sums a row in another order than BLAS, so its trajectories differ from the
-dense ones in the last bits. An exactly symmetric product (the assignment
-coupling's closed form from row and column sums) is deliberately not used: it
-keeps tied spins (equal similarities, such as zero-IOU pairs) in step through
-the wall, and strict tables came out one-to-one less often.
+a tie. CSR sums a row in another order than BLAS, so its trajectories and
+energies differ from the dense ones in the last bits. An exactly symmetric
+product (the assignment coupling's closed form from row and column sums) is
+deliberately not used: it keeps tied spins (equal similarities, such as
+zero-IOU pairs) in step through the wall, and strict tables came out
+one-to-one less often.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -171,40 +154,8 @@ class SbParams:
             )
 
 
-# thresholds of the product rule in _coupling; 2**17 entries are 1 MiB of float64
-_DENSE_MAX_ENTRIES = 1 << 17
-_CSR_MAX_FILL = 8
-
-
 def _digitize(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1, -1).astype(np.int64)
-
-
-def _coupling(j: np.ndarray):
-    """``j`` itself, or a CSR copy of it when the sparse product is cheaper.
-
-    The rule reads only the size and the nonzero count of ``j``: CSR when
-    ``j`` has more than ``_DENSE_MAX_ENTRIES`` entries and at most one in
-    ``_CSR_MAX_FILL`` of them is nonzero. Smaller problems skip the count.
-
-    One ``j != 0`` mask gives both the count and the CSR arrays: row pointers
-    from the cumulative row counts, column indices and values from the flat
-    nonzero positions in row-major order. That is the canonical CSR (sorted
-    indices, no duplicates, int32 indices) that ``sparse.csr_array(j)``
-    builds by way of COO, so the product is the same bit for bit.
-    """
-    n = j.shape[0]
-    if n * n <= _DENSE_MAX_ENTRIES:
-        return j
-    nonzero = j != 0.0
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
-    if _CSR_MAX_FILL * int(indptr[-1]) > n * n:
-        return j
-    from scipy import sparse
-    flat = np.flatnonzero(nonzero)
-    indices = (flat % n).astype(np.int32)
-    return sparse.csr_array((j.ravel()[flat], indices, indptr), shape=j.shape)
 
 
 @functools.lru_cache(maxsize=8)
@@ -237,6 +188,23 @@ def _product(coupling, x: np.ndarray):
     return coupling.__matmul__
 
 
+def _can_overflow(p: IsingProblem, params: SbParams) -> bool:
+    """Whether a step of the loop, or a restart's energy, could leave the float range.
+
+    A step starts with ``|x| <= 1`` and ``|y|`` at most ``init_noise`` or
+    ``2 / dt`` (a spin left inside the wall moved at most 2), so no value it
+    or an energy makes exceeds the bound below, in Python floats that overflow
+    to ``inf``. Under it the solve runs without ``np.errstate``, which slows
+    every NumPy call in the loop: 1 to 2 % of a 25-spin solve.
+    """
+    j = p.j if type(p.j) is np.ndarray else p.j.data
+    force, h_max = p.n * float(np.abs(j).max(initial=0.0)), float(np.abs(p.h).max())
+    kick = 1.0 + abs(params.eta) * h_max + params.c0 * force
+    step = max(1.0, params.dt)
+    bound = (max(params.init_noise, 2.0 / params.dt) + kick * step) * step
+    return not max(p.n * (force + h_max), bound) < 1e300
+
+
 def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     """Run the solver and return a +/-1 spin vector.
 
@@ -244,64 +212,72 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     initial momenta from one seeded generator) and keeps the lowest-energy
     digitized result, preferring the earliest run on ties. Raises
     ``ValueError`` when no run's energy is finite, as on a problem whose
-    energies overflow.
+    energies overflow. Overflow is not warned about: a problem whose steps
+    could overflow (:func:`_can_overflow`) runs with it ignored, an
+    overflowing position is clipped at the wall, and a non-finite energy loses.
 
     All trajectories are the rows of one state, stepped together by the fused
-    loop described in the module docstring.
+    loop described in the module docstring, on ``p.j`` as it is (dense or CSR).
     """
     rng = np.random.default_rng(params.seed)
     c0, dt = params.c0, params.dt
-    coupling = _coupling(p.j)
     # one draw gives every restart's momenta in the order per-restart draws would
     x_rows = np.zeros((params.restarts, p.n))
     y_rows = rng.uniform(-params.init_noise, params.init_noise, size=x_rows.shape)
-    # views of the rows shaped so that ``coupling @ x`` is the product the
-    # module docstring picks: one row, one gemv per row, or one CSR multivector
-    if params.restarts == 1:
-        x, y, eta_h = x_rows[0], y_rows[0], params.eta * p.h
-    elif coupling is not p.j:
-        x, y, eta_h = x_rows.T, y_rows.T, params.eta * p.h[:, None]
-    else:
-        x, y, eta_h = x_rows[:, :, None], y_rows[:, :, None], params.eta * p.h[:, None]
-    product = _product(coupling, x)
-    walled = None  # x after the last step that took every spin over the wall
-    for neg_detune in _schedule(params.n_steps):
-        force = product(x)
-        force *= c0
-        kick = neg_detune * x
-        kick -= eta_h
-        kick += force
-        kick *= dt
-        y += kick
-        x += y * dt
-        over = np.abs(x) > 1.0
-        n_over = np.count_nonzero(over)
-        if n_over:
-            np.copysign(1.0, x, out=x, where=over)
-            y[over] = 0.0
-        if n_over < x.size:
-            walled = None
-        elif walled is not None and np.array_equal(x, walled):
-            break  # frozen: every later step clips the same spins to the same walls
+    quiet = _can_overflow(p, params)
+    with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+        # views of the rows shaped so that ``coupling @ x`` is the product the
+        # module docstring picks: one row, one gemv per row, or one CSR multivector
+        if params.restarts == 1:
+            x, y, eta_h = x_rows[0], y_rows[0], params.eta * p.h
+        elif type(p.j) is np.ndarray:
+            x, y, eta_h = x_rows[:, :, None], y_rows[:, :, None], params.eta * p.h[:, None]
         else:
-            walled = x.copy()
-    best_spins = None
-    best_energy = np.inf
-    for row in x_rows:
-        spins = _digitize(row)
-        energy = ising_energy(p, spins)
-        if energy < best_energy and math.isfinite(energy):
-            best_energy = energy
-            best_spins = spins
-    if best_spins is None:
-        raise ValueError("no restart reached a finite Ising energy: the problem overflows")
-    return best_spins
+            x, y, eta_h = x_rows.T, y_rows.T, params.eta * p.h[:, None]
+        product = _product(p.j, x)
+        walled = None  # x after the last step that took every spin over the wall
+        for neg_detune in _schedule(params.n_steps):
+            force = product(x)
+            force *= c0
+            kick = neg_detune * x
+            kick -= eta_h
+            kick += force
+            kick *= dt
+            y += kick
+            x += y * dt
+            over = np.abs(x) > 1.0
+            n_over = np.count_nonzero(over)
+            if n_over:
+                np.copysign(1.0, x, out=x, where=over)
+                y[over] = 0.0
+            if n_over < x.size:
+                walled = None
+            elif walled is not None and np.array_equal(x, walled):
+                break  # frozen: every later step clips the same spins to the same walls
+            else:
+                walled = x.copy()
+        best_spins = None
+        best_energy = np.inf
+        for row in x_rows:
+            spins = _digitize(row)
+            energy = ising_energy(p, spins)
+            if energy < best_energy and math.isfinite(energy):
+                best_energy = energy
+                best_spins = spins
+        if best_spins is None:
+            raise ValueError("no restart reached a finite Ising energy: the problem overflows")
+        return best_spins
 
 
 def solve_qubo(p: QuboProblem, params: SbParams = SbParams()) -> tuple[np.ndarray, float]:
     """Solve a QUBO by converting to Ising form and digitizing the result.
 
-    Returns ``(bits, energy)`` with ``energy == qubo_energy(p, bits)``.
+    Returns ``(bits, energy)`` with ``energy == qubo_energy(p, bits)``, and
+    raises ``ValueError`` when that energy overflows.
     """
     bits = spins_to_bits(solve_ising(qubo_to_ising(p), params))
-    return bits, qubo_energy(p, bits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = qubo_energy(p, bits)
+    if not math.isfinite(energy):
+        raise ValueError("the solution's QUBO energy overflows")
+    return bits, energy

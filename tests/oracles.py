@@ -1,6 +1,9 @@
 """Reference helpers shared by the tests; the package itself never calls them."""
 
 import numpy as np
+from scipy import sparse
+
+from flextrack.ising import IsingProblem, QuboProblem
 
 
 def check_one_to_one(b) -> bool:
@@ -22,6 +25,29 @@ def check_one_to_one(b) -> bool:
 def bits_to_spins(bits) -> np.ndarray:
     """Map bits {0, 1} to spins {-1, +1} via ``s = 2b - 1``."""
     return 2 * np.asarray(bits, dtype=np.int64) - 1
+
+
+def dense_coupling(problem: QuboProblem) -> np.ndarray:
+    """``qubo_to_ising``'s coupling as first written, dense at every size:
+    ``-q / 2`` with a zeroed diagonal."""
+    j = -problem.q / 2.0
+    np.fill_diagonal(j, 0.0)
+    return j
+
+
+def dense_ising(problem: QuboProblem) -> IsingProblem:
+    """``qubo_to_ising(problem)`` with the dense coupling at every size, stored
+    unchecked: the dense reference where the conversion gives a CSR coupling."""
+    h = problem.q.sum(axis=1) / 2.0
+    offset = float(problem.q.sum() + np.trace(problem.q)) / 4.0
+    return IsingProblem._from_symmetric(dense_coupling(problem), h, offset)
+
+
+def coupling_arrays(j) -> list:
+    """A coupling's arrays as (dtype, bytes): a dense array's own, or a CSR
+    array's ``indptr``, ``indices`` and ``data``."""
+    arrays = (j.indptr, j.indices, j.data) if sparse.issparse(j) else (j,)
+    return [(a.dtype, a.tobytes()) for a in arrays]
 
 
 def iou(a, b) -> float:

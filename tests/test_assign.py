@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from flextrack import sb
 from flextrack.assign import (
     DEFAULT_C_LARGE,
     DEFAULT_C_SMALL,
@@ -27,7 +26,7 @@ from flextrack.assign import (
 )
 from flextrack.sb import SbParams, solve_qubo
 from flextrack.ising import IsingProblem, QuboProblem, brute_force_qubo, qubo_energy, qubo_to_ising
-from oracles import check_one_to_one
+from oracles import check_one_to_one, coupling_arrays, dense_coupling
 
 
 def direct_cost(s, table, c):
@@ -255,14 +254,15 @@ class TestBuildAssignmentQubo:
         assert type(problem) is QuboProblem
         assert QuboProblem(problem.q).q.tobytes() == problem.q.tobytes()
         ising = qubo_to_ising(problem)
-        validated = IsingProblem(ising.j, ising.h, ising.offset)
-        assert validated.j.tobytes() == ising.j.tobytes()
+        # the converter's coupling as first written, -q / 2 with a zeroed
+        # diagonal, in the form the rule picks for it
+        j = dense_coupling(problem)
+        validated = IsingProblem(j, ising.h, ising.offset)
+        assert coupling_arrays(validated.j) == coupling_arrays(ising.j)
         assert validated.h.tobytes() == ising.h.tobytes()
         assert validated.offset == ising.offset
-        # the converter's coupling as first written, -q / 2 with a zeroed diagonal
-        j = -problem.q / 2.0
-        np.fill_diagonal(j, 0.0)
-        assert ising.j.tobytes() == j.tobytes()
+        want = csr_array(j) if issparse(ising.j) else j
+        assert coupling_arrays(ising.j) == coupling_arrays(want)
 
     @pytest.mark.parametrize("c", [np.inf, np.nan, -np.inf])
     def test_rejects_non_finite_weight(self, c):
@@ -579,7 +579,7 @@ class TestOneWeightAtATime:
         rng = np.random.default_rng(seed)
         s = sparse_iou_like(rng, n_t, n_d, fill)
         # the frame is large enough for the solver's CSR coupling product
-        assert issparse(sb._coupling(qubo_to_ising(build_assignment_qubo(s, DEFAULT_C_LARGE)[0]).j))
+        assert issparse(qubo_to_ising(build_assignment_qubo(s, DEFAULT_C_LARGE)[0]).j)
         got = flexible_assign(s, sb_solver)
         want = both_built_first(s, sb_solver)
         assert np.array_equal(got.table_large, want.table_large)

@@ -8,12 +8,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flextrack
@@ -348,6 +349,58 @@ class TestNonFiniteValues:
             assert rc == 0 and errors == []
 
 
+# finite QUBO entries whose sums, products and energies can overflow
+_HUGE = [8e307, -8e307, 6e307, -6e307, 4e307, -4e307]
+_SMALL = [1e-300, 5e-324, 0.0, 1.0, -1.0]
+
+
+@st.composite
+def huge_qubo_files(draw):
+    """A QUBO text with entries up to +-8e307: at most 362 variables (a dense
+    coupling) or above (few entries, so the CSR coupling), the entries on a
+    few rows so that their sums overflow."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(363, 400)))
+    index = st.integers(0, min(n, 5) - 1)
+    value = st.one_of(
+        st.sampled_from(_HUGE), st.sampled_from(_HUGE), st.sampled_from(_SMALL),
+        st.floats(-8e307, 8e307),
+    )
+    entries = draw(st.lists(st.tuples(index, index, value), max_size=20))
+    return "\n".join([str(n)] + [f"{i} {j} {v!r}" for i, j, v in entries]) + "\n"
+
+
+class TestHugeQuboEntries:
+    """``solve-qubo`` on finite entries up to +-8e307 exits 0 with one line and a
+    finite energy, or 2 with one ``error:`` line; no traceback and no warning
+    (the warning is recorded here, and an error under the test settings)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(text=huge_qubo_files(), restarts=st.sampled_from([1, 3]))
+    # a row of alternating +-8e307: finite row sums, an overflowing product
+    @example(text="7\n" + "".join(f"0 {k} {(-1) ** k * 8e307}\n{k} 0 {(-1) ** k * 8e307}\n"
+                                   for k in range(1, 6)), restarts=1)
+    @example(text="370\n" + "".join(f"0 {k} {(-1) ** k * 8e307}\n{k} 0 {(-1) ** k * 8e307}\n"
+                                     for k in range(1, 9)), restarts=3)
+    # finite Ising energies, but the chosen bits' QUBO energy overflows
+    @example(text="4\n0 0 -8e307\n1 0 4e307\n1 2 8e307\n2 0 -8e307\n2 2 -4e307\n3 2 4e307\n",
+             restarts=1)
+    def test_exit_code_and_single_line(self, text, restarts):
+        with tempfile.TemporaryDirectory() as tmp:
+            qubo = write(Path(tmp) / "q.txt", text)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rc = main(["solve-qubo", qubo, "--restarts", str(restarts)])
+        assert caught == [], [str(w.message) for w in caught]
+        out, errors = stdout.getvalue().splitlines(), stderr.getvalue().splitlines()
+        if rc == 2:
+            assert len(errors) == 1 and errors[0].startswith("error: ") and out == [], errors
+        else:
+            assert rc == 0 and errors == [] and len(out) == 1, (rc, errors)
+            assert np.isfinite(float(out[0].rpartition("energy=")[2]))
+
+
 class TestSolveQubo:
     def test_single_variable(self, tmp_path, capsys):
         qubo = write(tmp_path / "q.txt", "1\n0 0 -2.5\n")
@@ -661,8 +714,9 @@ import numpy as np
 from flextrack.assign import build_assignment_qubo
 from flextrack.ising import qubo_to_ising
 from flextrack.sb import SbParams, solve_ising
-p = qubo_to_ising(build_assignment_qubo(np.load(sys.argv[1]), 1.0)[0])
+problem = build_assignment_qubo(np.load(sys.argv[1]), 1.0)[0]
 assert "scipy.sparse" not in sys.modules
+p = qubo_to_ising(problem)
 print(json.dumps(solve_ising(p, SbParams(seed=3, restarts=int(sys.argv[2]), n_steps=80)).tolist()))
 {_PRINT_SCIPY}
 """
@@ -717,7 +771,7 @@ class TestScipyLoadedOnDemand:
         path = str(tmp_path / "s.npy")
         np.save(path, s)
         (spins,), loaded = scipy_modules_after("-c", _SOLVE_ASSIGNMENT, path, str(restarts))
-        # solve_ising imported scipy.sparse: the 400-spin coupling went to CSR
+        # the conversion imported scipy.sparse: the 400-spin coupling went to CSR
         assert "scipy.sparse" in loaded
         p = qubo_to_ising(build_assignment_qubo(s, 1.0)[0])
         want = solve_ising(p, SbParams(seed=3, restarts=restarts, n_steps=80))

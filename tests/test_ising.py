@@ -1,5 +1,7 @@
 """QUBO/Ising encodings: energies, conversion identity, brute-force oracle."""
 
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -384,3 +386,102 @@ class TestQuboFileOracle:
         qubo_path.write_bytes("2\n0 1\x0c1\n0 1\x1c2\x853\n".encode())
         with pytest.raises(ValueError, match=r":3: expected 'i j value'"):
             read_qubo_file(qubo_path)
+
+
+# suffixes numpy's DataSource decompresses by name; a URL it would fetch
+DATASOURCE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def guarded_loadtxt(monkeypatch):
+    """Make ``np.loadtxt`` refuse, before it opens anything, a name that numpy's
+    DataSource would decompress or fetch, or that is not a regular file; return
+    the list of the names it was handed."""
+    loadtxt, names = np.loadtxt, []
+
+    def guarded(source, *args, **kwargs):
+        if isinstance(source, str):
+            assert not source.lower().endswith(DATASOURCE_SUFFIXES), source
+            assert "://" not in source and os.path.isfile(source), source
+            names.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", guarded)
+    return names
+
+
+@pytest.fixture(scope="module")
+def qubo_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("named")
+
+
+class TestQuboFileByName:
+    """A ``str`` path goes to ``np.loadtxt`` by name, which numpy parses in chunks,
+    with the same outcome as the line reader; names numpy's DataSource would
+    decompress or fetch, and files it cannot read twice, never do."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=qubo_texts())
+    @example(text="3\n0 1 1.5\n1 0 2.5\n2 2 -1\n0 1 7\n")  # both triangles, a duplicate
+    @example(text="2\r\n# c\r\n+0 +1 1e5 # c\r\n1 1 -inf\r\n")  # CRLF and comments
+    @example(text="2\r0 1 1\r1 1 2\r")  # CR line ends
+    @example(text="3\n0 1 x\n")  # a malformed line
+    @example(text="4\n")  # an empty body
+    @example(text="4")
+    @example(text="")
+    def test_same_outcome_as_the_line_reader(self, qubo_dir, text):
+        with pytest.MonkeyPatch.context() as mp:
+            names = guarded_loadtxt(mp)
+            for name in ("q.txt", "q.gz"):
+                path = str(qubo_dir / name)
+                with open(path, "wb") as fh:
+                    fh.write(text.encode("utf-8"))
+                assert read_outcome(read_qubo_file, path) == read_outcome(loop_read_qubo, path)
+        assert set(names) <= {str(qubo_dir / "q.txt")}
+
+    @pytest.mark.parametrize("name", ["q.txt", "q.gz", "q.TXT.BZ2", "q.xz", "q.lzma"])
+    def test_only_plain_names_are_read_by_name(self, tmp_path, monkeypatch, name):
+        path = str(tmp_path / name)
+        with open(path, "w") as fh:
+            fh.write("3\n0 1 1.5\n2 2 -1\n")
+        names = guarded_loadtxt(monkeypatch)
+        assert read_outcome(read_qubo_file, path) == read_outcome(loop_read_qubo, path)
+        assert names == ([path] if name == "q.txt" else [])
+
+    def test_url_like_name_is_read_from_the_text(self, tmp_path, monkeypatch):
+        # a local file whose relative name parses as a URL with a host
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "q.txt").write_text("2\n0 1 3\n")
+        monkeypatch.chdir(tmp_path)
+        names = guarded_loadtxt(monkeypatch)
+        path = "http://host/q.txt"
+        assert read_outcome(read_qubo_file, path) == read_outcome(loop_read_qubo, path)
+        assert names == []
+
+    def test_path_objects_are_read_from_the_text(self, tmp_path, monkeypatch):
+        path = tmp_path / "q.txt"
+        path.write_text("2\n0 1 3\n")
+        names = guarded_loadtxt(monkeypatch)
+        assert read_outcome(read_qubo_file, path) == read_outcome(loop_read_qubo, str(path))
+        assert names == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_is_read_once(self, tmp_path, monkeypatch):
+        # reading a pipe by name again would wait for another writer
+        path = str(tmp_path / "q.fifo")
+        os.mkfifo(path)
+        text = "3\n0 1 1.5\n2 2 -1\n"
+
+        def write():
+            with open(path, "w") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        names = guarded_loadtxt(monkeypatch)
+        got = read_qubo_file(path)
+        writer.join(timeout=10)
+        regular = str(tmp_path / "q.txt")
+        with open(regular, "w") as fh:
+            fh.write(text)
+        assert got.q.tobytes() == loop_read_qubo(regular).q.tobytes()
+        assert names == []

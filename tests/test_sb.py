@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
-from flextrack import sb
+from flextrack import ising, sb
 from flextrack.assign import build_assignment_qubo, repair_table
 from flextrack.cli import main
 from flextrack.ising import (
@@ -23,7 +23,7 @@ from flextrack.ising import (
     spins_to_bits,
 )
 from flextrack.sb import SbParams, solve_ising, solve_qubo
-from oracles import check_one_to_one
+from oracles import check_one_to_one, coupling_arrays, dense_coupling, dense_ising
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -81,7 +81,7 @@ def initial_state(n: int, rng: np.random.Generator, init_noise: float) -> SbStat
 def sb_step_loop(p, params):
     """``solve_ising`` written as a loop of ``sb_step`` calls: the fused loop's reference.
 
-    The product is ``coupling @ x`` on the form ``sb._coupling`` picks, so
+    The product is ``coupling @ x`` on the form the problem holds ``j`` in, so
     on a sparse coupling above 362 spins it is scipy's CSR product. It runs
     all ``n_steps`` steps, so it is also the oracle of the fused loop's stop
     once the state is frozen at the wall.
@@ -92,7 +92,7 @@ def sb_step_loop(p, params):
     taken every spin over the wall.
     """
     rng = np.random.default_rng(params.seed)
-    coupling = sb._coupling(p.j)
+    coupling = p.j
     best_spins, best_energy = None, np.inf
     positions, repeats = [], []
     for _ in range(params.restarts):
@@ -138,7 +138,7 @@ def per_restart_loop(p, params):
     """
     rng = np.random.default_rng(params.seed)
     c0, dt = params.c0, params.dt
-    coupling = sb._coupling(p.j)
+    coupling = p.j
     detuning = [-(1.0 - k / params.n_steps) for k in range(params.n_steps)]
     eta_h = params.eta * p.h
     best_spins, best_energy = None, np.inf
@@ -178,21 +178,22 @@ def sparse_similarity(n, density, seed):
 
 
 def scipy_coupling(j):
-    """``sb._coupling``'s rule with scipy's own conversion of the dense ``j``: its oracle."""
+    """The coupling's form rule with scipy's own conversion of the dense ``j``: its oracle."""
     n = j.shape[0]
-    if n * n <= sb._DENSE_MAX_ENTRIES:
+    if n * n <= ising._DENSE_MAX_ENTRIES:
         return j
-    if sb._CSR_MAX_FILL * np.count_nonzero(j) <= n * n:
+    if ising._CSR_MAX_FILL * np.count_nonzero(j) <= n * n:
         return sparse.csr_array(j)
     return j
 
 
-def strict_outcomes(s, params, coupling):
-    """(repair-free, optimal after repair) for the strict SB table under ``coupling``."""
+def strict_outcomes(s, params, form):
+    """(repair-free, optimal after repair) for the strict SB table, with the
+    coupling in the form ``qubo_to_ising`` gives (``"sparse"`` at these sizes)
+    or ``"dense"``."""
     problem, _ = build_assignment_qubo(s, 1.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sb, "_coupling", coupling)
-        bits, _ = solve_qubo(problem, params)
+    p = qubo_to_ising(problem) if form == "sparse" else dense_ising(problem)
+    bits = spins_to_bits(solve_ising(p, params))
     table, repairs = repair_table(bits.reshape(s.shape), s)
     rows, cols = linear_sum_assignment(s, maximize=True)
     return repairs == 0, (s * table).sum() >= s[rows, cols].sum() - 1e-9
@@ -283,6 +284,18 @@ class TestSolveIsing:
             with pytest.raises(ValueError, match="no restart reached a finite Ising energy"):
                 solve_ising(p, SbParams(restarts=restarts))
 
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 400])
+    def test_overflow_raises_without_a_warning(self, restarts, n):
+        # as above, and at n = 3 and 400 (a CSR coupling) the coupling product
+        # overflows too; a warning would be an error under the test settings
+        j = np.zeros((n, n))
+        j[:3, :3] = 1e308 if n == 2 else 1.7e308
+        np.fill_diagonal(j, 0.0)
+        p = IsingProblem(j=j, h=np.full(n, 1e308) if n == 2 else np.zeros(n))
+        with pytest.raises(ValueError, match="no restart reached a finite Ising energy"):
+            solve_ising(p, SbParams(restarts=restarts))
+
     def test_quality_invariant_up_to_16_vars(self):
         # never better than the oracle; matches it on at least 90% of instances
         hits = 0
@@ -313,6 +326,14 @@ class TestSolveQubo:
         assert np.array_equal(bits, [1, 1])
         assert energy + dropped == pytest.approx(-1.4)
 
+    def test_overflowing_qubo_energy_raises(self):
+        # every Ising energy is finite, but the chosen bits 1010 sum three
+        # entries to -2e308
+        q = np.zeros((4, 4))
+        q[0, 0], q[1, 0], q[1, 2], q[2, 0], q[2, 2], q[3, 2] = -8e307, 4e307, 8e307, -8e307, -4e307, 4e307
+        with pytest.raises(ValueError, match="QUBO energy overflows"):
+            solve_qubo(QuboProblem(q), SbParams())
+
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             SbParams(dt=0.0)
@@ -341,6 +362,44 @@ class TestSolveQubo:
                 SbParams(init_noise=bad)
         spins = solve_ising(IsingProblem(j=[[0.0]], h=[-1.0]), SbParams(init_noise=half, seed=1))
         assert spins.shape == (1,)
+
+
+class TestOverflowBound:
+    """Below ``_can_overflow``'s bound the solve runs without ``np.errstate``, so
+    the bound must hold: no step or energy overflows, which an error state of
+    "raise" would show."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 12),
+        j_exp=st.integers(-3, 308),
+        h_exp=st.integers(-3, 308),
+        dt=st.sampled_from([1e-300, 1e-3, 0.3, 1.0, 7.0, 100.0, 1e150]),
+        scale=st.sampled_from([1e-300, 0.8, 1.0, 40.0]),
+        noise=st.sampled_from([0.0, 0.1, 1e300, 1e307]),
+        restarts=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    # steps far from the float range, energies past it: tiny c0 and eta, huge h
+    @example(n=12, j_exp=0, h_exp=308, dt=0.3, scale=1e-300, noise=0.1, restarts=1, seed=1)
+    # couplings whose product overflows
+    @example(n=12, j_exp=308, h_exp=0, dt=0.3, scale=0.8, noise=0.1, restarts=2, seed=0)
+    # momenta drawn near the float range, moved by a long step
+    @example(n=4, j_exp=0, h_exp=0, dt=100.0, scale=0.8, noise=1e307, restarts=1, seed=0)
+    def test_no_step_overflows_below_the_bound(self, n, j_exp, h_exp, dt, scale, noise, restarts, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.choice((-1.0, 1.0), (n, n)) * 10.0 ** (j_exp - rng.uniform(0, 3, (n, n)))
+        j = np.triu(raw, 1) + np.triu(raw, 1).T
+        p = IsingProblem(j=j, h=rng.choice((-1.0, 1.0), n) * 10.0 ** (h_exp - rng.uniform(0, 3, n)))
+        params = SbParams(c0=scale, eta=-scale, dt=dt, init_noise=noise, seed=seed, restarts=restarts)
+        if not sb._can_overflow(p, params):
+            with np.errstate(over="raise", invalid="raise"):
+                solve_ising(p, params)
+
+    def test_paper_frames_run_unguarded(self):
+        s = 0.7 * np.eye(5) + 0.2 * np.eye(5, k=1)
+        for c in (0.1, 1.0):
+            assert not sb._can_overflow(qubo_to_ising(build_assignment_qubo(s, c)[0]), SbParams())
 
 
 class TestFusedLoop:
@@ -375,7 +434,7 @@ class TestStackedRestarts:
     def test_csr_rows_bit_identical_to_per_restart_loop(self, m, restarts):
         s = sparse_similarity(m, 0.1, seed=m)
         p = qubo_to_ising(build_assignment_qubo(s, 1.0)[0])
-        assert sparse.issparse(sb._coupling(p.j))
+        assert sparse.issparse(p.j)
         params = SbParams(seed=m, restarts=restarts, n_steps=120)
         assert_same_run(fused_loop(p, params), per_restart_loop(p, params))
 
@@ -410,20 +469,17 @@ class CountingProduct:
 
 
 def counted_solve(p, params):
-    """``solve_ising``'s spins and the number of steps it ran, for one restart.
-
-    (With several restarts the wrapped coupling would pick the CSR row view.)
-    """
-    assert params.restarts == 1
+    """``solve_ising``'s spins and the number of steps it ran, counted by a
+    wrapped coupling handed to the product's entry (which takes ``__matmul__``)."""
     made = []
-    coupling = sb._coupling
+    choose = sb._product
 
-    def counting(j):
-        made.append(CountingProduct(coupling(j)))
-        return made[-1]
+    def counting(coupling, x):
+        made.append(CountingProduct(coupling))
+        return choose(made[-1], x)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sb, "_coupling", counting)
+        mp.setattr(sb, "_product", counting)
         spins = solve_ising(p, params)
     return spins, made[0].products
 
@@ -456,14 +512,16 @@ def entry_solve(p, params):
 
 
 def laid_out(p, layout):
-    """``p`` with its couplings in C order, in Fortran order, or as a strided view."""
-    if layout == "C":
+    """``p`` with its dense couplings in C order, in Fortran order, or as a strided
+    view, stored unchecked (the validating constructor would copy them to C
+    order). A CSR coupling has no layout and is returned as it is."""
+    if layout == "C" or sparse.issparse(p.j):
         return p
     if layout == "F":
-        return IsingProblem(j=np.asfortranarray(p.j), h=p.h)
+        return IsingProblem._from_symmetric(np.asfortranarray(p.j), p.h, p.offset)
     spread = np.zeros((2 * p.n, 2 * p.n))
     spread[::2, ::2] = p.j
-    return IsingProblem(j=spread[::2, ::2], h=p.h)
+    return IsingProblem._from_symmetric(spread[::2, ::2], p.h, p.offset)
 
 
 class TestFrozenStop:
@@ -594,15 +652,15 @@ class TestProductEntries:
         # the private scipy kernel must give what csr_array @ x gives, so a
         # change to scipy's private entry fails here first
         if make == "assignment":
-            j = qubo_to_ising(build_assignment_qubo(sparse_similarity(24, 0.1, 24), 1.0)[0]).j
+            csr = qubo_to_ising(build_assignment_qubo(sparse_similarity(24, 0.1, 24), 1.0)[0]).j
         else:
             # 400 spins with 300 coupled pairs: about a fifth of the rows are empty
             j = symmetric_with_nonzeros(400, 300, seed=4)
-        csr = sparse.csr_array(j) if make == "scipy_conversion" else sb._coupling(j)
+            csr = sparse.csr_array(j) if make == "scipy_conversion" else IsingProblem(j, np.zeros(400)).j
         assert sparse.issparse(csr)
         rng = np.random.default_rng(7)
         for _ in range(20):
-            x = rng.uniform(-1.5, 1.5, j.shape[0])
+            x = rng.uniform(-1.5, 1.5, csr.shape[0])
             x[rng.uniform(size=x.size) < 0.3] = rng.choice((-1.0, 1.0))
             product = sb._product(csr, x)
             assert product.__name__ == "csr_matvec"
@@ -625,11 +683,12 @@ class TestProductEntries:
 class TestCouplingProduct:
     @pytest.mark.parametrize("m,is_sparse", [(5, False), (19, False), (20, True), (24, True)])
     def test_assignment_coupling(self, m, is_sparse):
-        p = qubo_to_ising(build_assignment_qubo(sparse_similarity(m, 0.1, seed=m), 1.0)[0])
-        product = sb._coupling(p.j)
+        problem, _ = build_assignment_qubo(sparse_similarity(m, 0.1, seed=m), 1.0)
+        product = qubo_to_ising(problem).j
         assert sparse.issparse(product) == is_sparse
-        x = np.random.default_rng(m).uniform(-1, 1, p.n)
-        assert np.allclose(product @ x, p.j @ x, rtol=0, atol=1e-12)
+        j = dense_coupling(problem)
+        x = np.random.default_rng(m).uniform(-1, 1, j.shape[0])
+        assert np.allclose(product @ x, j @ x, rtol=0, atol=1e-12)
 
     def test_crowd_scenario_takes_the_sparse_product(self, tmp_path, monkeypatch):
         # the scene the byte-identity check runs at crowd scale must reach CSR
@@ -637,49 +696,51 @@ class TestCouplingProduct:
         spec = str(SCENARIOS / "crowd24_overtakes.txt")
         assert main(["simulate", spec, "--seed", "1", "-o", prefix]) == 0
         kinds = []
-        coupling = sb._coupling
+        choose = sb._product
 
-        def recording(j):
-            product = coupling(j)
-            kinds.append(sparse.issparse(product))
-            return product
+        def recording(coupling, x):
+            kinds.append(sparse.issparse(coupling))
+            return choose(coupling, x)
 
-        monkeypatch.setattr(sb, "_coupling", recording)
+        monkeypatch.setattr(sb, "_product", recording)
         assert main(["track", prefix + ".det.txt", "-o", prefix + ".out.txt"]) == 0
         assert any(kinds)
 
     def test_dense_coupling_stays_dense(self):
         p = random_problem(400, seed=1)
-        assert sb._coupling(p.j) is p.j
+        assert type(p.j) is np.ndarray
 
 
-def assert_same_coupling(j, seed):
-    got, want = sb._coupling(j), scipy_coupling(j)
-    assert sparse.issparse(got) == sparse.issparse(want)
-    if sparse.issparse(want):
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-    else:
-        assert got is j
-    x = np.random.default_rng(seed).uniform(-1, 1, j.shape[0])
-    assert np.array_equal(got @ x, want @ x)
+def assert_same_coupling(problem, seed):
+    """Both constructors store the form the rule gives for the dense coupling,
+    as scipy converts it, array for array and dtype for dtype."""
+    j = dense_coupling(problem)
+    want = scipy_coupling(j)
+    h = problem.q.sum(axis=1) / 2.0
+    for got in (qubo_to_ising(problem).j, IsingProblem(j, h).j):
+        assert sparse.issparse(got) == sparse.issparse(want)
+        assert coupling_arrays(got) == coupling_arrays(want)
+        x = np.random.default_rng(seed).uniform(-1, 1, j.shape[0])
+        assert np.array_equal(got @ x, want @ x)
 
 
-def symmetric_with_nonzeros(n, pairs, seed):
-    """An n x n symmetric coupling, zero diagonal, with ``2 * pairs`` nonzero entries."""
+def symmetric_with_nonzeros(n, pairs, seed, tiny=0):
+    """An n x n symmetric coupling, zero diagonal, with ``2 * pairs`` nonzero
+    entries and ``2 * tiny`` more of magnitude the smallest subnormal."""
     rng = np.random.default_rng(seed)
     upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
+    at = rng.choice(upper, size=pairs + tiny, replace=False)
     j = np.zeros(n * n)
-    j[rng.choice(upper, size=pairs, replace=False)] = rng.uniform(0.1, 1.0, pairs) * rng.choice(
-        (-1.0, 1.0), pairs
-    )
+    j[at[:pairs]] = rng.uniform(0.1, 1.0, pairs) * rng.choice((-1.0, 1.0), pairs)
+    j[at[pairs:]] = np.finfo(np.float64).smallest_subnormal * rng.choice((-1.0, 1.0), tiny)
     j = j.reshape(n, n)
     return j + j.T
 
 
 class TestCouplingOracle:
-    """``_coupling`` builds the CSR that scipy's dense conversion builds, array for array."""
+    """``qubo_to_ising`` and ``IsingProblem`` build the CSR that scipy's dense
+    conversion builds, array for array, and otherwise a 64-byte-aligned dense
+    ``q * -0.5`` with a zero diagonal."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -695,21 +756,40 @@ class TestCouplingOracle:
     def test_assignment_couplings(self, n_t, n_d, density, c, seed):
         rng = np.random.default_rng(seed)
         s = np.where(rng.uniform(size=(n_t, n_d)) < density, rng.uniform(size=(n_t, n_d)), 0.0)
-        assert_same_coupling(qubo_to_ising(build_assignment_qubo(s, c)[0]).j, seed)
+        assert_same_coupling(build_assignment_qubo(s, c)[0], seed)
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         n=st.sampled_from([362, 363, 364, 400]),
         offset=st.integers(-3, 3),
+        tiny=st.integers(0, 3),
         seed=st.integers(0, 2**16),
     )
     # the last CSR and the first dense fill at n = 363: 8 * 16470 <= 363**2 < 8 * 16472
-    @example(n=363, offset=0, seed=0)
-    @example(n=363, offset=1, seed=0)
-    def test_random_symmetric_around_the_thresholds(self, n, offset, seed):
-        # 2 * pairs nonzeros around the fill threshold n * n / _CSR_MAX_FILL
-        pairs = n * n // (2 * sb._CSR_MAX_FILL) + offset
-        assert_same_coupling(symmetric_with_nonzeros(n, pairs, seed), seed)
+    @example(n=363, offset=0, tiny=0, seed=0)
+    @example(n=363, offset=1, tiny=0, seed=0)
+    # CSR only once the entries that halve to zero are left out
+    @example(n=363, offset=0, tiny=1, seed=0)
+    @example(n=363, offset=1, tiny=3, seed=0)
+    def test_random_symmetric_around_the_thresholds(self, n, offset, tiny, seed):
+        # 2 * pairs entries that halve to nonzeros around the fill threshold
+        # n * n / _CSR_MAX_FILL, 2 * tiny that halve to zero, and a diagonal,
+        # which the coupling drops
+        pairs = n * n // (2 * ising._CSR_MAX_FILL) + offset
+        q = symmetric_with_nonzeros(n, pairs, seed, tiny)
+        np.fill_diagonal(q, np.random.default_rng(seed).uniform(-1, 1, n))
+        assert_same_coupling(QuboProblem(q), seed)
+
+    @pytest.mark.parametrize("n", [1, 25, 256, 362, 363, 400])
+    def test_dense_is_the_halved_qubo_aligned(self, n):
+        # above 362 variables a full QUBO passes the size test but not the fill test
+        problem = QuboProblem(np.random.default_rng(n).normal(size=(n, n)))
+        j = problem.q * -0.5
+        np.fill_diagonal(j, 0.0)
+        for got in (qubo_to_ising(problem).j, IsingProblem(j, np.zeros(n)).j):
+            assert type(got) is np.ndarray and got.flags.c_contiguous
+            assert got.ctypes.data % 64 == 0
+            assert got.dtype == np.float64 and got.tobytes() == j.tobytes()
 
 
 class TestSparseProductQuality:
@@ -734,8 +814,8 @@ class TestSparseProductQuality:
         for i in range(cls.INSTANCES):
             s = sparse_similarity(n, density, seed=1000 * n + i)
             params = SbParams(seed=i)
-            totals["sparse"] += strict_outcomes(s, params, sb._coupling)
-            totals["dense"] += strict_outcomes(s, params, lambda j: j)
+            totals["sparse"] += strict_outcomes(s, params, "sparse")
+            totals["dense"] += strict_outcomes(s, params, "dense")
         return totals
 
     @pytest.mark.parametrize("n", [20, 24])
