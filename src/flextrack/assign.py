@@ -53,6 +53,9 @@ class TrackerDecision:
 
 
 UNMATCH = TrackerDecision(TrackerState.UNMATCH)
+# Like UNMATCH, each (state, detection) decision is one frozen instance, made
+# once per process and shared: entry d of a state's list is detection d.
+_SHARED = {TrackerState.MATCH: [], TrackerState.POTENTIAL_MATCH: []}
 
 
 @dataclass
@@ -190,10 +193,15 @@ def _arbitrate(
     park = ~single & candidates.any(axis=1)
     d_small = np.where(candidates, s, -np.inf).argmax(axis=1)
     decisions = [UNMATCH] * n_t
-    for t, d in zip(np.flatnonzero(match).tolist(), d_large[match].tolist()):
-        decisions[t] = TrackerDecision(TrackerState.MATCH, d)
-    for t, d in zip(np.flatnonzero(park).tolist(), d_small[park].tolist()):
-        decisions[t] = TrackerDecision(TrackerState.POTENTIAL_MATCH, d)
+    for state, rows, targets in (
+        (TrackerState.MATCH, match, d_large), (TrackerState.POTENTIAL_MATCH, park, d_small)
+    ):
+        shared = _SHARED[state]
+        if len(shared) < n_d:
+            # grown as a new list, so a concurrent caller never sees a half-grown one
+            shared = _SHARED[state] = shared + [TrackerDecision(state, d) for d in range(len(shared), n_d)]
+        for t, d in zip(np.flatnonzero(rows).tolist(), targets[rows].tolist()):
+            decisions[t] = shared[d]
     unmatched_detections = np.flatnonzero(~claimed).tolist()
     return decisions, unmatched_detections
 
@@ -253,10 +261,11 @@ def hungarian_assign(s, s_min: float = DEFAULT_S_MIN) -> AssignmentResult:
     """
     s = _validate_similarity(s)
     table = hungarian(s)
-    decisions, unmatched = _arbitrate(table, np.zeros_like(table), s, s_min)
+    zeros = np.zeros_like(table)
+    decisions, unmatched = _arbitrate(table, zeros, s, s_min)
     return AssignmentResult(
         decisions=decisions,
         unmatched_detections=unmatched,
         table_large=table,
-        table_small=np.zeros_like(table),
+        table_small=zeros,
     )

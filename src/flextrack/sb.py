@@ -71,10 +71,9 @@ to 64 bytes. Before its loop each solve picks the cheapest entry that gives
 the bits of ``J @ x`` (:func:`_product`). Per product, one BLAS thread on a
 two-core Xeon host:
 
-- one restart, dense ``J`` in C or Fortran order: ``J.dot(x)``. It makes the
-  same BLAS ``dgemv`` call as ``J @ x`` at half the dispatch, 0.47 against
-  0.87 us at 25 spins. A strided ``J`` keeps ``J @ x``, because there
-  ``dot`` rounds differently (100 of 100 vectors at 25 spins);
+- one restart, dense ``J`` in C order, as both constructors store it:
+  ``J.dot(x)``. It makes the same BLAS ``dgemv`` call as ``J @ x`` at half
+  the dispatch, 0.47 against 0.87 us at 25 spins;
 - one restart, CSR ``J``: scipy's private ``_sparsetools.csr_matvec`` into a
   fresh zeroed array. ``J @ x`` runs that same kernel after about 2 us of
   checks: 14.9 against 16.9 us on a 651-spin (21 x 31) frame;
@@ -87,8 +86,9 @@ two-core Xeon host:
 - CSR ``J``, several restarts: ``J @ x.T``, scipy's multi-vector kernel,
   which sums each row's products in the single-vector order.
 
-Anything else, such as a wrapped coupling, goes through
-``coupling.__matmul__``, the method that ``coupling @ x`` calls.
+Anything else, such as a wrapped coupling or a dense ``J`` stored unchecked
+in Fortran order or as a strided view, goes through ``coupling.__matmul__``,
+the method that ``coupling @ x`` calls.
 Besides the product, a step makes 8 NumPy arithmetic calls and 3 to 5 for
 the wall, so at 25 spins it costs little more than NumPy's fixed cost per call.
 The spins are digitized and scored row by row, and the earliest restart wins
@@ -167,9 +167,7 @@ def _schedule(n_steps: int) -> tuple[float, ...]:
 def _product(coupling, x: np.ndarray):
     """``coupling @ x`` as a one-argument call, through its cheapest entry that
     gives the same bits (the module docstring lists the cases)."""
-    if x.ndim == 1 and type(coupling) is np.ndarray and (
-        coupling.flags.c_contiguous or coupling.flags.f_contiguous
-    ):
+    if x.ndim == 1 and type(coupling) is np.ndarray and coupling.flags.c_contiguous:
         return coupling.dot
     if x.ndim == 1 and getattr(coupling, "format", None) == "csr" and coupling.dtype == x.dtype:
         # the kernel csr_array.__matmul__ runs for one vector, without its checks

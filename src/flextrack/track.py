@@ -32,18 +32,19 @@ KF_H = np.eye(4, 7)
 KF_Q = np.diag([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 0.0001])
 KF_R = np.diag([1.0, 1.0, 10.0, 10.0])
 KF_P0 = np.diag([10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4])
+KF_P0.flags.writeable = False  # every new tracker holds this one array
 
 MIN_AREA = 1e-6
 
-# The covariance recursion reads neither the state nor the detection, and
-# trackers keep reaching the same covariances, so predict's F P F' + Q and
-# update's gain and (I - K H) P are memoized by the covariance's bytes. Each
-# entry is computed from the first tracker's own array and shared read-only by
-# every tracker that reaches it. Trackers left unmatched for long stretches
-# keep adding covariances, so a table is emptied once it holds this many.
+# The covariance recursion reads neither the state nor the detection, so
+# predict's F P F' + Q and update's gain and (I - K H) P are memoized. Trackers
+# start from KF_P0 and share each result, all read-only, so a table is keyed by
+# id(cov); the entry holds cov, so the id stays taken while the entry exists.
+# A writable cov, which its owner may change in place, is frozen into a copy
+# first. Unmatched trackers keep adding covariances, so a table is emptied at this size.
 KALMAN_MEMO_SIZE = 4096
-_predict_memo: dict[bytes, np.ndarray] = {}
-_update_memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+_predict_memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_update_memo: dict[int, tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]] = {}
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class Tracker:
 
     id: int
     x: np.ndarray  # (cx, cy, area, aspect, v_cx, v_cy, v_area)
-    cov: np.ndarray  # after predict or update, a read-only array other trackers share
+    cov: np.ndarray  # from new_tracker, predict or update, a read-only array trackers share
     age: int = 0
 
     @property
@@ -152,7 +153,8 @@ class TrackConfig:
 
 def _edges(boxes) -> np.ndarray:
     """Columns left, top, right, bottom and area of each box, as its properties give them."""
-    return np.array([(b.left, b.top, b.right, b.bottom, b.area) for b in boxes]).reshape(-1, 5)
+    rows = [(b.left, b.top, b.left + b.width, b.top + b.height, b.width * b.height) for b in boxes]
+    return np.array(rows).reshape(-1, 5)
 
 
 def _tracker_edges(trackers) -> np.ndarray:
@@ -199,17 +201,18 @@ def new_tracker(detection: Detection, tracker_id: int) -> Tracker:
     """Spawn a tracker from a detection: zero velocities, age 0."""
     x = np.zeros(7)
     x[:4] = _box_to_z(detection.box)
-    return Tracker(id=tracker_id, x=x, cov=KF_P0.copy(), age=0)
+    return Tracker(id=tracker_id, x=x, cov=KF_P0, age=0)
 
 
 def _memoized(memo: dict, cov: np.ndarray, compute):
-    key = cov.tobytes()
-    entry = memo.get(key)
-    if entry is None:
+    if cov.flags.writeable or cov.base is not None:  # a writable array or a view
+        cov = _read_only(cov.copy())
+    entry = memo.get(id(cov))
+    if entry is None or entry[0] is not cov:
         if len(memo) >= KALMAN_MEMO_SIZE:
             memo.clear()
-        entry = memo[key] = compute(cov)
-    return entry
+        entry = memo[id(cov)] = (cov, compute(cov))
+    return entry[1]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -233,11 +236,14 @@ def predict(tracker: Tracker) -> Tracker:
     As in SORT, an area velocity that would take the area to zero or below is
     dropped first, so a shrinking box stops shrinking instead of collapsing.
     """
-    if tracker.x[2] + tracker.x[6] <= 0:
-        tracker.x[6] = 0.0
-    tracker.x = KF_F @ tracker.x
+    x = tracker.x
+    if x[2] + x[6] <= 0:
+        x[6] = 0.0
+    x = tracker.x = KF_F @ x
     tracker.cov = _memoized(_predict_memo, tracker.cov, _predicted_cov)
-    tracker.x[3] = max(tracker.x[3], MIN_AREA)
+    # max(x[3], MIN_AREA) for every float, NaN included, without its NumPy scalar
+    if MIN_AREA > x[3]:
+        x[3] = MIN_AREA
     tracker.age += 1
     return tracker
 
@@ -247,9 +253,11 @@ def update(tracker: Tracker, detection: Detection) -> Tracker:
     z = _box_to_z(detection.box)
     innovation = z - KF_H @ tracker.x
     gain, tracker.cov = _memoized(_update_memo, tracker.cov, _gain_and_updated_cov)
-    tracker.x = tracker.x + gain @ innovation
-    tracker.x[2] = max(tracker.x[2], MIN_AREA)
-    tracker.x[3] = max(tracker.x[3], MIN_AREA)
+    x = tracker.x = tracker.x + gain @ innovation
+    if MIN_AREA > x[2]:
+        x[2] = MIN_AREA
+    if MIN_AREA > x[3]:
+        x[3] = MIN_AREA
     tracker.age = 0
     return tracker
 
@@ -311,10 +319,11 @@ def step(
         result = _empty_result(n_t, n_d)
     else:
         result = assigner(similarity_matrix(trackers, detections))
+    match, potential_match = _assign.TrackerState.MATCH, _assign.TrackerState.POTENTIAL_MATCH
     for tracker, decision in zip(trackers, result.decisions):
-        if decision.state is _assign.TrackerState.MATCH:
+        if decision.state is match:
             update(tracker, detections[decision.detection])
-        elif decision.state is _assign.TrackerState.POTENTIAL_MATCH:
+        elif decision.state is potential_match:
             tracker.age -= cfg.anti_aging
     for d in result.unmatched_detections:
         trackers.append(new_tracker(detections[d], next(id_counter)))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
+from flextrack import assign
 from flextrack.assign import (
     DEFAULT_C_LARGE,
     DEFAULT_C_SMALL,
@@ -654,6 +655,34 @@ class TestArbitrate:
         table_large = random_table(rng, n_t, n_d, large_kind)
         table_small = random_table(rng, n_t, n_d, small_kind)
         self.assert_matches_loop(table_large, table_small, s, s_min)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.integers(16, 64), st.integers(16, 64), st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=4,
+        ),
+        st.sampled_from(["one_to_one", 0.05, 0.3]),
+        st.sampled_from(["zeros", 0.1, 0.5]),
+    )
+    def test_shared_decisions_equal_fresh_ones(self, calls, large_kind, small_kind):
+        # decisions are shared instances, grown from none here as the frames
+        # widen; each must equal a freshly built one, and a list handed out
+        # earlier must not change when later calls grow the shared ones
+        handed_out = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assign, "_SHARED", {TrackerState.MATCH: [], TrackerState.POTENTIAL_MATCH: []})
+            for n_t, n_d, seed in calls:
+                rng = np.random.default_rng(seed)
+                s = rng.choice((0.0, 0.2, 0.4, 0.6), size=(n_t, n_d))
+                table_large = random_table(rng, n_t, n_d, large_kind)
+                table_small = random_table(rng, n_t, n_d, small_kind)
+                got = _arbitrate(table_large, table_small, s, 0.1)
+                want = loop_arbitrate(table_large, table_small, s, 0.1)
+                assert got == want
+                handed_out.append((got, want))
+        for got, want in handed_out:
+            assert got == want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_large_tables(self, seed):

@@ -455,9 +455,48 @@ class TestKalmanMemo:
                 assert got.x.tobytes() == want.x.tobytes()
                 assert got.cov.tobytes() == want.cov.tobytes()
 
+    @staticmethod
+    def changed_in_place(owner, holder, kalman_step, reference_step):
+        """Three trackers in turn hold the caller's writable ``owner`` (or a
+        read-only view of it), with an in-place write to ``owner`` between two
+        steps; each must get the reference's bytes, and ``owner`` stays writable."""
+        held = owner
+        if holder == "read_only_view":
+            held = owner.view()
+            held.flags.writeable = False
+        x = np.array([5.0, 5.0, 100.0, 1.0, 2.0, -1.0, 3.0])
+        for k in range(3):
+            got = Tracker(id=1, x=x.copy(), cov=held)
+            want = Tracker(id=1, x=x.copy(), cov=held.copy())
+            kalman_step(got)
+            reference_step(want)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.cov.tobytes() == want.cov.tobytes()
+            owner[k, k] += 1.0
+            owner[4 + k, k] = owner[k, 4 + k] = 0.5 * (k + 1)
+        assert owner.flags.writeable
+
+    @pytest.mark.parametrize("holder", ["array", "read_only_view"])
+    def test_writable_covariance_changed_between_predicts(self, holder):
+        # a memo keyed by bare id() would serve the first result again here
+        self.changed_in_place(KF_P0.copy(), holder, predict, reference_predict)
+
+    @pytest.mark.parametrize("holder", ["array", "read_only_view"])
+    def test_writable_covariance_changed_between_updates(self, holder):
+        detection = det(1, 1, 10, 10)
+        self.changed_in_place(
+            KF_P0.copy(), holder,
+            lambda t: update(t, detection), lambda t: reference_update(t, detection),
+        )
+
     def test_shared_covariance_is_read_only(self):
         a = new_tracker(det(0, 0, 10, 10), tracker_id=1)
         b = new_tracker(det(50, 80, 20, 40), tracker_id=2)
+        # every new tracker holds the one read-only P0
+        assert a.cov is b.cov
+        assert a.cov.tobytes() == np.diag([10.0] * 4 + [1e4] * 3).tobytes()
+        with pytest.raises(ValueError):
+            b.cov[4, 4] = 1.0
         predict(a)
         predict(b)
         assert a.cov is b.cov
@@ -650,3 +689,57 @@ class TestNorthStarInvariants:
                 if not hide_from <= k < hide_from + hide_for
             ]
             self.check_frame(mot, mot.step(detections))
+
+
+# an object of a stream: top-left corner, size and velocity in pixels, the
+# frame it enters and how long it stays, a jitter amplitude, and the first
+# frame and length of a run without its detection. Corners share a 400 x 300
+# area, so boxes overlap and cross
+STREAM_OBJECT = st.tuples(
+    st.integers(0, 400), st.integers(0, 300), st.integers(20, 80), st.integers(20, 80),
+    st.integers(-8, 8), st.integers(-8, 8), st.integers(0, 20), st.integers(8, 60),
+    st.integers(0, 3), st.integers(0, 40), st.integers(0, 6),
+)
+
+
+class TestReferenceKalmanStream:
+    """The shipped loop, with its shared covariances, memo and decisions, against
+    the same loop with ``predict`` and ``update`` recomputing every covariance,
+    over crowd-sized streams through the baseline assigner."""
+
+    @staticmethod
+    def run(frames):
+        cfg = TrackConfig()
+        mot = MultiObjectTracker(cfg, track.make_baseline_assigner(cfg))
+        history = []
+        for detections in frames:
+            result = mot.step(detections)
+            history.append((
+                [(d.state, d.detection) for d in result.decisions],
+                result.unmatched_detections,
+                [(t.id, t.age, t.x.tobytes(), t.cov.tobytes()) for t in mot.trackers],
+            ))
+        return history
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        objects=st.lists(STREAM_OBJECT, min_size=16, max_size=32),
+        n_frames=st.integers(30, 45),
+    )
+    def test_identical_to_reference_kalman(self, objects, n_frames):
+        frames = [
+            [
+                det(left + k * vx + jitter * ((3 * k + i) % 5 - 2), top + k * vy, width, height)
+                for i, (left, top, width, height, vx, vy, born, life, jitter, hide_from, hide_for)
+                in enumerate(objects)
+                if born <= k < born + life and not hide_from <= k < hide_from + hide_for
+            ]
+            for k in range(n_frames)
+        ]
+        shipped = self.run(frames)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(track, "predict", reference_predict)
+            mp.setattr(track, "update", reference_update)
+            reference = self.run(frames)
+        assert shipped == reference
+        assert max(len(trackers) for _, _, trackers in shipped) >= 8
