@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import __version__
 from .assign import AssignmentResult
-from .ising import BRUTE_FORCE_MAX_VARS, brute_force_qubo, read_qubo_file
+from .ising import BRUTE_FORCE_MAX_VARS, _content_lines, brute_force_qubo, read_qubo_file
 from .sb import SbParams, solve_qubo
 from .scenario import (
     IOU_MIN,
@@ -114,10 +114,7 @@ def read_config(path) -> TrackConfig:
     """Parse the flat ``key = value`` config format; unknown keys are errors."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, raw, line in _content_lines(fh):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")

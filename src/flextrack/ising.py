@@ -35,14 +35,19 @@ lost above a fill of about 1/8 on random patterns at ``n = 400``. Otherwise
 ``malloc`` may put it, the four-restart product at 256 spins took 27-31 us
 against 19-21 us, with the same bits.
 
+:func:`read_qubo_file` reads the QUBO text format: it parses the count line
+once, then reads the entries in one ``np.loadtxt`` pass by name or, for every
+file that pass cannot take or rejects, in one line loop. Its comment-skipping
+line iterator also serves the config and scenario readers.
+
 The module also provides :func:`brute_force_qubo`, an exhaustive minimizer used
 as the test oracle throughout the package (capped at 24 variables).
 """
 
 from __future__ import annotations
 
-import io
 import os
+import re
 import stat
 import warnings
 from dataclasses import dataclass
@@ -264,7 +269,7 @@ def brute_force_qubo(p: QuboProblem) -> tuple[np.ndarray, float]:
 
 
 def read_qubo_file(path) -> QuboProblem:
-    """Read the QUBO text format: first line ``n``, then ``i j value`` lines.
+    """Read the QUBO text format: a count line ``n``, then ``i j value`` lines.
 
     Indices are 0-based and unlisted entries are zero. When an entry is listed
     more than once, the last listing wins; the matrix is then symmetrized, so
@@ -272,48 +277,80 @@ def read_qubo_file(path) -> QuboProblem:
     and blank lines are skipped. A malformed file raises ``ValueError`` naming
     the file and the offending line.
 
-    A well-formed file whose first line is the count is parsed in one
-    vectorized pass; any other file goes through the line-by-line reader,
+    The file is read once, and its count line (the first with text outside a
+    comment) is parsed once. A regular file named by a ``str`` or a path object
+    that numpy's DataSource opens as a plain file (not a URL, and no suffix it
+    decompresses) has its entries read by name in one ``np.loadtxt`` pass after
+    the count line, which numpy parses in chunks. Every other file, and any
+    that pass rejects, goes through the line loop on the text already read,
     which reports errors and accepts the spellings only Python's ``int`` and
     ``float`` take (such as ``1_0``).
-
-    The vectorized pass hands ``np.loadtxt`` a ``str`` name of a regular file,
-    which numpy parses in chunks (7.2 against 9.5 ms line by line on a
-    256-variable file), unless numpy's DataSource would decompress it (by
-    suffix) or fetch it (a URL); it parses the text already read otherwise.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-    by_name = regular and isinstance(path, str) and "://" not in path
-    by_name = by_name and not path.lower().endswith((".gz", ".bz2", ".xz", ".lzma"))
-    q = _parse_well_formed(text, path if by_name else None)
+    # the lines fh.readlines() gives: split at "\n" only, unlike str.splitlines
+    lines = _content_lines(m.group() for m in _LINE.finditer(text))
+    count = next(lines, None)
+    if count is None:
+        raise ValueError(f"{path}: empty QUBO file")
+    lineno, raw, line = count
+    fields = line.split()
+    if len(fields) != 1:
+        raise ValueError(f"{path}:{lineno}: expected variable count, got {raw!r}")
+    try:
+        n = int(fields[0])
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: bad variable count {fields[0]!r}") from None
+    if n < 1:
+        raise ValueError(f"{path}:{lineno}: variable count must be positive")
+    # numpy's DataSource opens a name as a plain file unless it is a URL or
+    # has a suffix it decompresses
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    q = None
+    if regular and isinstance(name, str) and "://" not in name:
+        if not name.lower().endswith((".gz", ".bz2", ".xz", ".lzma")):
+            q = _entries_by_name(name, lineno, n)
     if q is None:
-        # the lines fh.readlines() gives: split at "\n" only, unlike str.splitlines
-        q = _parse_lines(path, io.StringIO(text).readlines())
+        q = np.zeros((n, n))
+        for lineno, raw, line in lines:
+            fields = line.split()
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 'i j value', got {raw!r}")
+            try:
+                i, j, value = int(fields[0]), int(fields[1]), float(fields[2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad entry {raw!r}") from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"{path}:{lineno}: index out of range for n={n}")
+            q[i, j] = value
     return QuboProblem(q)
 
 
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
-def _parse_well_formed(text: str, path: str | None) -> np.ndarray | None:
-    """The matrix of a file with a bare count on its first line and valid entries,
-    else None. Its entries are read from ``path`` when given, else from ``text``."""
-    header, _, body = text.partition("\n")
+def _content_lines(lines):
+    """``(lineno, raw, text)`` for each of ``lines`` with text outside a ``#``
+    comment, numbered from 1; ``text`` is that text, stripped."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, raw, line
+
+
+def _entries_by_name(name: str, skip: int, n: int) -> np.ndarray | None:
+    """The matrix of the valid entries after the first ``skip`` lines of file
+    ``name``, read in one ``np.loadtxt`` pass, else None."""
     try:
-        n = int(header)
-    except ValueError:
-        return None
-    if n < 1:
-        return None
-    try:
-        # a warning here (no entries at all) also hands the file to the line reader
+        # a warning here (no entries at all) also hands the file to the line loop;
+        # numpy opens the name in text mode, so it counts the skipped lines as
+        # the text read with CR, LF and CRLF ends does
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            source, skip = (io.StringIO(body), 0) if path is None else (path, 1)
             entries = np.loadtxt(
-                source, dtype=_ENTRY, comments="#", skiprows=skip, ndmin=1, encoding="utf-8"
+                name, dtype=_ENTRY, comments="#", skiprows=skip, ndmin=1, encoding="utf-8"
             )
     except (ValueError, Warning):
         return None
@@ -323,39 +360,4 @@ def _parse_well_formed(text: str, path: str | None) -> np.ndarray | None:
     q = np.zeros((n, n))
     # a 1-D index into a 1-D view is written in order, so the last duplicate wins
     q.reshape(-1)[i * n + j] = entries["v"]
-    return q
-
-
-def _parse_lines(path, lines: list[str]) -> np.ndarray:
-    """The line-by-line reader: the matrix, or a ``ValueError`` naming the line."""
-    n = None
-    q = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 1:
-                raise ValueError(f"{path}:{lineno}: expected variable count, got {raw!r}")
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad variable count {fields[0]!r}") from None
-            if n < 1:
-                raise ValueError(f"{path}:{lineno}: variable count must be positive")
-            q = np.zeros((n, n))
-            continue
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'i j value', got {raw!r}")
-        try:
-            i, j = int(fields[0]), int(fields[1])
-            value = float(fields[2])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad entry {raw!r}") from None
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"{path}:{lineno}: index out of range for n={n}")
-        q[i, j] = value
-    if n is None:
-        raise ValueError(f"{path}: empty QUBO file")
     return q

@@ -30,6 +30,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .ising import _content_lines
 from .track import BoundingBox, Detection, TrackConfig, _edges, iou_matrix, mot_printable
 
 # default association floor of the metrics
@@ -279,13 +280,11 @@ def parse_scenario(path) -> ScenarioSpec:
     header: dict = {}
     objects: list[MovingObject] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            words = raw.split("#", 1)[0].split()
-            if words:
-                try:
-                    _parse_line(words, raw, header, objects)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        for lineno, raw, line in _content_lines(fh):
+            try:
+                _parse_line(line.split(), raw, header, objects)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if "n_frames" not in header:
         raise ValueError(f"{path}: missing required 'frames' header")
     if not objects:

@@ -208,7 +208,7 @@ def _memoized(memo: dict, cov: np.ndarray, compute):
     if cov.flags.writeable or cov.base is not None:  # a writable array or a view
         cov = _read_only(cov.copy())
     entry = memo.get(id(cov))
-    if entry is None or entry[0] is not cov:
+    if entry is None:
         if len(memo) >= KALMAN_MEMO_SIZE:
             memo.clear()
         entry = memo[id(cov)] = (cov, compute(cov))

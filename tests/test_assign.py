@@ -1,6 +1,7 @@
 """Assignment QUBO construction, feasibility, Hungarian baseline, arbitration."""
 
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -378,6 +379,39 @@ class TestHungarian:
                 table = hungarian(s)
                 assert check_one_to_one(table)
                 assert float((s * table).sum()) == pytest.approx(best)
+
+
+class TestInputChecks:
+    """Each public entry rejects a non-finite similarity, and ``repair_table`` a
+    table that is not 2-D or not 0/1, with its message."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: build_assignment_qubo(s, 1.0),
+            hungarian,
+            hungarian_assign,
+            lambda s: repair_table(np.eye(2, dtype=np.int64), s),
+            lambda s: flexible_assign(s, brute_solver),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_similarity(self, call, bad):
+        s = np.array([[0.5, 0.1], [0.2, bad]])
+        with pytest.raises(ValueError, match="^similarity matrix contains non-finite entries$"):
+            call(s)
+
+    @pytest.mark.parametrize("table", [np.ones(4), np.ones((1, 2, 2))])
+    def test_table_must_be_2d(self, table):
+        shape = re.escape(str(table.shape))
+        with pytest.raises(ValueError, match=f"^assignment table must be 2-D, got shape {shape}$"):
+            repair_table(table, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("entry", [2, -1, 0.5])
+    def test_table_entries_must_be_bits(self, entry):
+        table = np.array([[1, 0], [0, entry]])
+        with pytest.raises(ValueError, match="^assignment table entries must be 0 or 1$"):
+            repair_table(table, np.ones((2, 2)))
 
 
 def loop_repair(table, s):

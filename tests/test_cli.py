@@ -61,6 +61,46 @@ def fresh_python(*args):
     )
 
 
+def single_error(capsys, message):
+    """The run printed ``error: <message>`` as its one stderr line, and nothing else."""
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+class TestInputChecks:
+    """Input checks of the MOT, config and ground-truth readers: each bad file
+    exits 2 with one ``error:`` line and no traceback."""
+
+    @pytest.mark.parametrize("frame", ["0", "-3"])
+    def test_frame_must_be_positive(self, tmp_path, capsys, frame):
+        det = write(tmp_path / "det.txt", f"1,-1,0,0,10,10,1,-1,-1,-1\n{frame},-1,0,0,10,10,1,-1,-1,-1\n")
+        out = tmp_path / "r.txt"
+        assert main(["track", det, "-o", str(out)]) == 2
+        single_error(capsys, f"{det}:2: frame numbers must be positive, got {int(frame)}")
+        assert not out.exists()
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        lines = ["1,-1,0,0,10,10,1,-1,-1,-1", "2,-1,1,0,10,10,1,-1,-1,-1"]
+        plain = read_mot_file(write(tmp_path / "plain.txt", "\n".join(lines) + "\n"))
+        spaced = read_mot_file(write(tmp_path / "spaced.txt", f"\n{lines[0]}\n  \n\t\n{lines[1]}\n\n"))
+        assert spaced == plain and len(plain) == 2
+
+    @pytest.mark.parametrize("line", ["max_age 7", "max_age: 7 # seven"])
+    def test_config_line_needs_an_equals_sign(self, tmp_path, capsys, line):
+        det = write(tmp_path / "det.txt", "1,-1,0,0,10,10,1,-1,-1,-1\n")
+        cfg = write(tmp_path / "cfg.txt", f"# config\n\n{line}\n")
+        out = tmp_path / "r.txt"
+        assert main(["track", det, "-o", str(out), "--config", cfg]) == 2
+        single_error(capsys, f"{cfg}:3: expected 'key = value', got {line + chr(10)!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_eval_on_empty_ground_truth(self, tmp_path, capsys, text):
+        results = write(tmp_path / "r.txt", "1,1,0,0,10,10,1,-1,-1,-1\n")
+        assert main(["eval", results, write(tmp_path / "gt.txt", text)]) == 2
+        single_error(capsys, "ground-truth file contains no records")
+
+
 class TestMotFormat:
     def test_roundtrip(self, tmp_path):
         records = [

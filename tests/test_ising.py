@@ -206,6 +206,27 @@ class TestBruteForce:
                 assert best <= qubo_energy(p, b) + 1e-12
 
 
+class TestProblemChecks:
+    """The constructors' and ``ising_energy``'s shape checks, each with its message."""
+
+    def test_qubo_needs_a_variable(self):
+        with pytest.raises(ValueError, match="^QUBO needs at least one variable$"):
+            QuboProblem(np.zeros((0, 0)))
+
+    def test_ising_coupling_must_be_square(self):
+        with pytest.raises(ValueError, match=r"^coupling matrix must be square, got shape \(2, 3\)$"):
+            IsingProblem(np.zeros((2, 3)), np.zeros(2))
+
+    def test_ising_bias_length_must_match(self):
+        with pytest.raises(ValueError, match=r"^bias vector length \(3,\) does not match 2 spins$"):
+            IsingProblem(np.zeros((2, 2)), np.zeros(3))
+
+    def test_ising_energy_needs_one_spin_per_variable(self):
+        p = IsingProblem(np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match=r"^expected 2 spins, got shape \(3,\)$"):
+            ising_energy(p, [1, -1, 1])
+
+
 class TestQuboFile:
     def test_load_symmetrizes(self, tmp_path):
         path = tmp_path / "q.txt"
@@ -351,6 +372,9 @@ class TestQuboFileOracle:
     @example(text="3\n-1 1 2\n")
     @example(text="0\n")
     @example(text="2\n0 1 1.7e308\n1 0 1.7e308\n")  # finite entries that overflow once symmetrized
+    @example(text="# c\n\n  \n# 1 2\n3 # count\n0 1 1\n2 2 -1\n")  # the count after comments and blanks
+    @example(text="3\r0 1 1\n1 2 2\r\n2 2 3\r# c\n0 0 4")  # CR, LF and CRLF mixed
+    @example(text="# c\r\n\r\n3\r0 1 x\n")  # mixed line ends, then a bad line
     def test_matches_the_line_reader(self, qubo_path, text):
         qubo_path.write_bytes(text.encode("utf-8"))
         assert read_outcome(read_qubo_file, qubo_path) == read_outcome(loop_read_qubo, qubo_path)
@@ -361,17 +385,41 @@ class TestQuboFileOracle:
             "3\n0 1 1.5\n1 0 2.5\n0 1 7\n",
             "3\r\n\n# c\n+0 2 1e5 # c\r\n2 2 -inf\r\n",
             "2\n0 0 nan\n",
+            "# c\r\n\n  # 0 1 2\r3 # count\n0 1 1.5\r\n2 2 -1\r",
         ],
     )
     def test_well_formed_files_take_the_vectorized_pass(self, qubo_path, text, monkeypatch):
+        """The by-name ``np.loadtxt`` pass reads the entries; the line loop reads
+        no line past the count line."""
         qubo_path.write_bytes(text.encode())
         expected = read_outcome(loop_read_qubo, qubo_path)
+        names = guarded_loadtxt(monkeypatch)
+        content_lines, read = ising._content_lines, []
 
-        def no_line_reader(path, lines):
-            raise AssertionError("the line reader ran")
+        def recorded(lines):
+            for item in content_lines(lines):
+                read.append(item)
+                yield item
 
-        monkeypatch.setattr(ising, "_parse_lines", no_line_reader)
+        monkeypatch.setattr(ising, "_content_lines", recorded)
         assert read_outcome(read_qubo_file, qubo_path) == expected
+        assert names == [str(qubo_path)]
+        assert len(read) == 1  # the count line
+
+    @pytest.mark.parametrize("name", ["q.txt", "q.gz"])
+    def test_non_utf8_byte_reports_its_offset_in_the_file(self, tmp_path, name):
+        # past the first 8 KB, where reading the file line by line would
+        # report an offset within a later chunk (loop_read_qubo's readlines)
+        path = tmp_path / name
+        body = "".join(f"{k % 3} {k % 5} {k}.25\n" for k in range(3000))
+        path.write_bytes(b"5\n" + body.encode() + b"\xff\n")
+        assert len(body) > 3 * 8192
+        for named in (path, str(path)):
+            with pytest.raises(UnicodeDecodeError) as caught:
+                read_qubo_file(named)
+            assert str(caught.value) == (
+                "'utf-8' codec can't decode byte 0xff in position 34892: invalid start byte"
+            )
 
     @pytest.mark.parametrize("text", ["2\n", "2\n# nothing\n\n", "2"])
     def test_header_only_is_a_zero_matrix_without_warnings(self, qubo_path, text):
@@ -415,7 +463,7 @@ def qubo_dir(tmp_path_factory):
 
 
 class TestQuboFileByName:
-    """A ``str`` path goes to ``np.loadtxt`` by name, which numpy parses in chunks,
+    """A ``str`` or path-object name goes to ``np.loadtxt``, which numpy parses in chunks,
     with the same outcome as the line reader; names numpy's DataSource would
     decompress or fetch, and files it cannot read twice, never do."""
 
@@ -424,6 +472,7 @@ class TestQuboFileByName:
     @example(text="3\n0 1 1.5\n1 0 2.5\n2 2 -1\n0 1 7\n")  # both triangles, a duplicate
     @example(text="2\r\n# c\r\n+0 +1 1e5 # c\r\n1 1 -inf\r\n")  # CRLF and comments
     @example(text="2\r0 1 1\r1 1 2\r")  # CR line ends
+    @example(text="# c\r\n\n3 # n\r0 1 1\n2 2 2\r\n")  # the count after a comment and a blank
     @example(text="3\n0 1 x\n")  # a malformed line
     @example(text="4\n")  # an empty body
     @example(text="4")
@@ -457,12 +506,12 @@ class TestQuboFileByName:
         assert read_outcome(read_qubo_file, path) == read_outcome(loop_read_qubo, path)
         assert names == []
 
-    def test_path_objects_are_read_from_the_text(self, tmp_path, monkeypatch):
+    def test_path_objects_are_read_by_name(self, tmp_path, monkeypatch):
         path = tmp_path / "q.txt"
         path.write_text("2\n0 1 3\n")
         names = guarded_loadtxt(monkeypatch)
         assert read_outcome(read_qubo_file, path) == read_outcome(loop_read_qubo, str(path))
-        assert names == []
+        assert names == [str(path)]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_named_pipe_is_read_once(self, tmp_path, monkeypatch):

@@ -228,6 +228,13 @@ class TestMetrics:
         assert occlusion_survival(late, gt, anti_aging=5) == 1.0
         assert occlusion_survival(late, gt, anti_aging=4) == 0.0
 
+    def test_window_without_prior_association_skipped(self):
+        # visible at frame 0 but unassociated, so the window has no prior id;
+        # with one, the new id at frame 2 would count as a lost survival
+        gt = make_gt("1011")
+        assert occlusion_survival(tracks_with_ids([None, None, 9, 9]), gt) == 1.0
+        assert occlusion_survival(tracks_with_ids([5, None, 9, 9]), gt) == 0.0
+
     def test_window_open_at_end_skipped(self):
         gt = make_gt("1100")
         tracks = tracks_with_ids([5, 5, None, None])
@@ -332,6 +339,29 @@ class TestParseScenario:
         path = tmp_path / "scene.txt"
         path.write_text("frames 5\nobject 0 0 10 10\n")
         with pytest.raises(ValueError, match=":2:"):
+            parse_scenario(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("object 0 0 x 10 0 0", "bad object line 'object 0 0 x 10 0 0\\n'"),
+            ("object 0 0 10 10 0 1e", "bad object line 'object 0 0 10 10 0 1e\\n'"),
+            ("frames", "expected 'frames value'"),
+            ("jitter  # none", "expected 'jitter value'"),
+            ("frames x", "bad value for frames: 'x'"),
+            ("seed 1.5", "bad value for seed: '1.5'"),
+        ],
+    )
+    def test_bad_line_message(self, tmp_path, line, message):
+        path = tmp_path / "scene.txt"
+        path.write_text(f"# scene\n{line}\nframes 5\nobject 0 0 10 10 0 0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+            parse_scenario(path)
+
+    def test_no_objects(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        path.write_text("frames 5\n# object 0 0 10 10 0 0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: scenario has no objects')}$"):
             parse_scenario(path)
 
     def test_missing_frames(self, tmp_path):

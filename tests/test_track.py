@@ -361,6 +361,38 @@ class TestUpdate:
         assert t.age == 0
 
 
+class TestInputChecks:
+    """Config and detection checks, and update's floor on area and aspect."""
+
+    @pytest.mark.parametrize("key", ["max_age", "anti_aging"])
+    def test_negative_age_limits(self, key):
+        with pytest.raises(ValueError, match="^max_age and anti_aging must be non-negative$"):
+            TrackConfig(**{key: -1})
+
+    @pytest.mark.parametrize("c_small, c_large", [(1.0, 1.0), (2.0, 1.0)])
+    def test_weights_out_of_order(self, c_small, c_large):
+        with pytest.raises(ValueError, match=f"^need c_small < c_large, got {c_small} >= {c_large}$"):
+            TrackConfig(c_small=c_small, c_large=c_large)
+
+    @pytest.mark.parametrize("confidence", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_confidence(self, confidence):
+        with pytest.raises(ValueError, match="^detection confidence must be finite$"):
+            Detection(BoundingBox(0, 0, 10, 10), confidence)
+
+    def test_update_floors_area_and_aspect(self):
+        # half the innovation at KF_P0's variance 10 against KF_R's 10 leaves
+        # both far below zero, where the floor sets them
+        t = tracker_in_state(1, 5.0, 5.0, -1e6, -1e6)
+        update(t, det(0, 0, 10, 10))
+        assert t.x[2] == t.x[3] == MIN_AREA
+
+    def test_update_keeps_nan_area_and_aspect(self):
+        # as max(nan, MIN_AREA) does
+        t = tracker_in_state(1, 5.0, 5.0, float("nan"), float("nan"))
+        update(t, det(0, 0, 10, 10))
+        assert np.isnan(t.x[2]) and np.isnan(t.x[3])
+
+
 def reference_predict(tracker: Tracker) -> Tracker:
     """``predict`` with the covariance recomputed on every call: the memoized one's reference."""
     if tracker.x[2] + tracker.x[6] <= 0:
