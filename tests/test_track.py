@@ -683,6 +683,13 @@ CROWD_OBJECT = st.tuples(
     st.integers(-30, 30), st.integers(-30, 30), st.integers(30, 70), st.integers(30, 70),
     st.integers(-6, 6), st.integers(-6, 6), st.integers(0, 14), st.integers(0, 8),
 )
+# the same over 50 to 60 frames: slow enough (at most 30 pixels in all) that
+# each object stays on its own cell, and hidden for a run anywhere in the stream
+SLOW_SPEED = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
+LONG_CROWD_OBJECT = st.tuples(
+    st.integers(-30, 30), st.integers(-30, 30), st.integers(30, 70), st.integers(30, 70),
+    SLOW_SPEED, SLOW_SPEED, st.integers(0, 55), st.integers(0, 8),
+)
 
 
 class TestNorthStarInvariants:
@@ -713,6 +720,19 @@ class TestNorthStarInvariants:
         n_frames=st.integers(10, 15),
     )
     def test_crowded_scenes(self, objects, n_frames):
+        self.run_stream(objects, n_frames)
+
+    # the number of trackers is not bounded: an empty strict table spawns every
+    # detection, and with no floor on age a parked tracker outlives long gaps
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        objects=st.lists(LONG_CROWD_OBJECT, min_size=16, max_size=24),
+        n_frames=st.integers(50, 60),
+    )
+    def test_long_crowded_streams(self, objects, n_frames):
+        self.run_stream(objects, n_frames)
+
+    def run_stream(self, objects, n_frames):
         mot = MultiObjectTracker()
         for k in range(n_frames):
             detections = [
