@@ -24,6 +24,8 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from . import __version__
 from .assign import AssignmentResult
 from .ising import BRUTE_FORCE_MAX_VARS, _content_lines, brute_force_qubo, read_qubo_file
@@ -168,24 +170,28 @@ def cmd_track(args) -> int:
     tracker = MultiObjectTracker(cfg, assigner=assigner)
     if by_frame:
         first, last = min(by_frame), max(by_frame)
-        for frame in range(first, last + 1):
-            detections = [
-                d for d in by_frame.get(frame, []) if d.confidence >= args.min_confidence
-            ]
-            # frames without trackers or without detections never call the assigner
-            assigner.seconds = 0.0
-            result: AssignmentResult = tracker.step(detections)
-            # ascending ids: survivors keep their order, spawns take rising ids
-            for t in tracker.trackers:
-                box = t.box
-                # a side that would print as 0.00 could not be read back
-                if mot_printable(box):
-                    out_records.append(MotRecord(frame, t.id, box, 1.0))
-            diag_rows.append(
-                f"{frame},{len(result.decisions)},{len(detections)},"
-                f"{result.energy_large:.9g},{result.energy_small:.9g},"
-                f"{result.repairs},{assigner.seconds:.6f}"
-            )
+        # A tracker extrapolated past the float range fails the box rule where
+        # its box is read below, which prints the one error line; NumPy's
+        # warnings on the way there would come before it.
+        with np.errstate(all="ignore"):
+            for frame in range(first, last + 1):
+                detections = [
+                    d for d in by_frame.get(frame, []) if d.confidence >= args.min_confidence
+                ]
+                # frames without trackers or without detections never call the assigner
+                assigner.seconds = 0.0
+                result: AssignmentResult = tracker.step(detections)
+                # ascending ids: survivors keep their order, spawns take rising ids
+                for t in tracker.trackers:
+                    box = t.box
+                    # a side that would print as 0.00 could not be read back
+                    if mot_printable(box):
+                        out_records.append(MotRecord(frame, t.id, box, 1.0))
+                diag_rows.append(
+                    f"{frame},{len(result.decisions)},{len(detections)},"
+                    f"{result.energy_large:.9g},{result.energy_small:.9g},"
+                    f"{result.repairs},{assigner.seconds:.6f}"
+                )
     write_mot_file(args.output, out_records)
     with open(args.output + ".diag.csv", "w", encoding="utf-8") as fh:
         fh.write("frame,n_trackers,n_detections,energy_large,energy_small,repairs,solve_time_s\n")

@@ -441,6 +441,86 @@ class TestHugeQuboEntries:
             assert np.isfinite(float(out[0].rpartition("energy=")[2]))
 
 
+# box sides up to about the square root of the largest float, among them those
+# of two known overflows (a square whose area goes from 1e307 to 8.9e307; a
+# 1.3e154 width whose height goes from w/8 to w/2), and ordinary ones
+_HUGE_SIDES = [1e153, 1.625e153, 3.1622776601683794e153, 6.5e153, 9.433981132056603e153, 1.3e154]
+
+
+def _mot_rows(frames):
+    """Detection lines for ``frames``, a list of each frame's (left, top, width, height) boxes."""
+    return "".join(
+        f"{frame},-1,{left!r},{top!r},{width!r},{height!r},1,-1,-1,-1\n"
+        for frame, boxes in enumerate(frames, start=1) for left, top, width, height in boxes
+    )
+
+
+def _accepted(box):
+    try:
+        BoundingBox(*box)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def overflowing_mot_files(draw):
+    """MOT detections the box rule accepts whose Kalman extrapolation can pass
+    the float range: huge sides that grow or change shape between matched
+    frames, corners at the float range's ends, and empty frames in between,
+    where the trackers only predict."""
+    side = st.one_of(
+        st.sampled_from(_HUGE_SIDES), st.floats(1e150, 1.34e154), st.floats(1.0, 100.0)
+    )
+    corner = st.one_of(
+        st.just(0.0), st.sampled_from([-8e307, 8e307, -1.7e308, 1.7e308]),
+        st.floats(-1e154, 1e154),
+    )
+    boxes = st.lists(st.tuples(corner, corner, side, side), max_size=3)
+    n_frames = draw(st.integers(2, 8))
+    return _mot_rows([list(filter(_accepted, draw(boxes))) for _ in range(n_frames)])
+
+
+class TestKalmanOverflow:
+    """``track`` and ``track --baseline`` on boxes the rule accepts but whose
+    Kalman extrapolation can overflow exit 0, or 2 with one ``error:`` line;
+    no traceback and no warning (the warning is recorded here, and an error
+    under the test settings)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(text=overflowing_mot_files())
+    # two matched frames with areas 1e307 and 8.9e307, two empty ones, a far box
+    @example(text=_mot_rows([[(0.0, 0.0, 3.1622776601683794e153, 3.1622776601683794e153)],
+                             [(0.0, 0.0, 9.433981132056603e153, 9.433981132056603e153)],
+                             [], [], [(0.0, 0.0, 10.0, 10.0)]]))
+    # the update blends area and aspect into a width that overflows
+    @example(text=_mot_rows([[(0.0, 0.0, 1.3e154, 1.625e153)], [(0.0, 0.0, 1.3e154, 6.5e153)],
+                             [(0.0, 0.0, 10.0, 10.0)]]))
+    # a tracker and a detection at opposite ends of the float range
+    @example(text=_mot_rows([[(8e307, 0.0, 1e153, 1e153)],
+                             [(0.0, 0.0, 1e153, 1e153), (-1.7e308, 0.0, 1e153, 1e153)]]))
+    # a predicted box whose area times aspect overflows before it is read
+    @example(text=_mot_rows([[(0.0, 0.0, 1e153, 1e153), (0.0, 0.0, 6.5e153, 3.1622776601683792e153)],
+                             [(0.0, 0.0, 1e153, 1e153), (0.0, 0.0, 6.5e153, 1.3e154)],
+                             [(0.0, 0.0, 1e153, 1e153)]]))
+    def test_exit_code_and_single_line(self, text):
+        for extra in ([], ["--baseline"]):
+            with tempfile.TemporaryDirectory() as tmp:
+                det = write(Path(tmp) / "det.txt", text)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        rc = main(["track", det, "-o", str(Path(tmp) / "res.txt"), *extra])
+            assert caught == [], (extra, [str(w.message) for w in caught])
+            errors = stderr.getvalue().splitlines()
+            assert stdout.getvalue() == ""
+            if rc == 2:
+                assert len(errors) == 1 and errors[0].startswith("error: "), (extra, errors)
+            else:
+                assert rc == 0 and errors == [], (extra, rc, errors)
+
+
 class TestSolveQubo:
     def test_single_variable(self, tmp_path, capsys):
         qubo = write(tmp_path / "q.txt", "1\n0 0 -2.5\n")
@@ -707,6 +787,15 @@ class TestEvalCommand:
         assert main(["eval", res, gt]) == 0
         assert "id_switches=1" in capsys.readouterr().out
 
+    def test_boxes_at_opposite_ends_of_the_float_range(self, tmp_path, capsys):
+        # their gap overflows to -inf, which marks them disjoint, without a
+        # warning (an error under the test settings)
+        records = write(
+            tmp_path / "r.txt",
+            "1,1,8e+307,0,1e+153,1e+153,1,-1,-1,-1\n1,2,-1.7e+308,0,1e+153,1e+153,1,-1,-1,-1\n",
+        )
+        assert main(["eval", records, records]) == 0
+        assert capsys.readouterr().out == "id_switches=0\nocclusion_survival=1.000000\n"
 
     @pytest.mark.parametrize(
         "flag", ["--iou-min=0", "--iou-min=2", "--iou-min=nan", "--anti-aging=-3"]

@@ -76,6 +76,11 @@ class TestIou:
         b = BoundingBox(1, 0, 2, 2)
         assert iou(a, b) == kernel_iou(a, b) == pytest.approx(1 / 3)
 
+    def test_boxes_at_opposite_ends_of_the_float_range(self):
+        # the gap between them overflows to -inf, without a warning (an error here)
+        a, b = BoundingBox(8e307, 0, 1e153, 1e153), BoundingBox(-1.7e308, 0, 1e153, 1e153)
+        assert iou(a, b) == kernel_iou(a, b) == kernel_iou(b, a) == 0.0
+
     def test_bad_box_rejected(self):
         with pytest.raises(ValueError):
             BoundingBox(0, 0, 0, 2)
@@ -217,8 +222,10 @@ class TestSimilarityMatrix:
         assert_bit_identical(trackers_at(tracker_boxes), [det(*b) for b in detection_boxes])
 
 
-def tracker_in_state(tracker_id, cx, cy, area, aspect):
-    return Tracker(id=tracker_id, x=np.array([cx, cy, area, aspect, 0.0, 0.0, 0.0]), cov=KF_P0)
+def tracker_in_state(tracker_id, cx, cy, area, aspect, v_cx=0.0, v_cy=0.0, v_area=0.0):
+    return Tracker(
+        id=tracker_id, x=np.array([cx, cy, area, aspect, v_cx, v_cy, v_area]), cov=KF_P0
+    )
 
 
 class TestTrackerEdges:
@@ -442,6 +449,13 @@ def replay_history(spawn_box, frames):
 
 boxes = st.tuples(st.floats(-100.0, 1000.0), st.floats(-100.0, 1000.0),
                   st.floats(0.5, 200.0), st.floats(0.5, 200.0))
+# state entries for the products: signed zeros, infinities, NaN, magnitudes
+# whose sums and products leave the float range, and ordinary values
+KALMAN_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, INF, -INF, NAN, MIN_AREA, 1e300, -1e300, 1.7e308, -1.7e308]),
+    st.floats(1e299, 1e301), st.floats(-1e301, -1e299),
+    st.floats(-1e3, 1e3),
+)
 
 
 class TestKalmanMemo:
@@ -451,6 +465,54 @@ class TestKalmanMemo:
     @given(boxes, st.lists(st.one_of(st.none(), boxes), min_size=1, max_size=40))
     def test_bit_identical_to_reference(self, spawn_box, frames):
         replay_history(spawn_box, frames)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.tuples(*[KALMAN_EDGE_FLOATS] * 7), boxes)
+    @example((-0.0, 0.0, INF, -0.0, 1e300, -1e300, -INF), (0.0, 0.0, 10.0, 10.0))
+    @example((NAN, -INF, 1.7e308, 1e300, 1e300, 1.7e308, 1.7e308), (-50.0, 3.0, 0.5, 200.0))
+    def test_edge_states_bit_identical_to_reference(self, state, box):
+        # the products of predict and update against the references' ``@``,
+        # through two predict-update rounds, so the gain changes
+        got = tracker_in_state(1, *state)
+        want = tracker_in_state(1, *state)
+        with np.errstate(all="ignore"):
+            for _ in range(2):
+                for tracker, kalman_predict, kalman_update in (
+                    (got, predict, update), (want, reference_predict, reference_update)
+                ):
+                    kalman_predict(tracker)
+                    kalman_update(tracker, det(*box))
+                assert got.x.tobytes() == want.x.tobytes()
+                assert got.cov.tobytes() == want.cov.tobytes()
+
+    def test_matched_chain_stops_computing_where_its_bytes_cycle(self, monkeypatch):
+        # a tracker matched on every frame reaches covariances whose bytes
+        # repeat with period 2 (from frame 1,689 here); interning brings it
+        # back to arrays the tables hold, so nothing is computed after that
+        for name in ("_predict_memo", "_update_memo", "_interned"):
+            monkeypatch.setattr(track, name, {})
+        computed_at = []
+        for name in ("_predicted_cov", "_gain_and_updated_cov"):
+            compute = getattr(track, name)
+            monkeypatch.setattr(
+                track, name, lambda cov, compute=compute: computed_at.append(frame) or compute(cov)
+            )
+        detection = det(10, 10, 20, 20)
+        got = new_tracker(detection, tracker_id=1)
+        want = Tracker(id=1, x=got.x.copy(), cov=got.cov.copy())
+        updated = []
+        for frame in range(2000):
+            predict(got)
+            update(got, detection)
+            reference_predict(want)
+            reference_update(want, detection)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.cov.tobytes() == want.cov.tobytes()
+            updated.append(want.cov.tobytes())
+        cycle = next(f for f in range(2, 2000) if updated[f] == updated[f - 2])
+        assert cycle < 1900
+        assert max(computed_at) <= cycle
+        assert len(computed_at) <= 2 * (cycle + 1)
 
     def test_past_the_bound(self):
         # a parked tracker reaches a new covariance every frame, so the
