@@ -134,10 +134,11 @@ def read_config(path) -> TrackConfig:
     return TrackConfig(sb_params=SbParams(**sb_kwargs), **track_kwargs)
 
 
-def _detections_by_frame(records) -> dict[int, list[Detection]]:
-    out: dict[int, list[Detection]] = {}
+def _by_frame(records, item) -> dict[int, list]:
+    """``item(r)`` for each record ``r``, listed per frame in file order."""
+    out: dict[int, list] = {}
     for r in records:
-        out.setdefault(r.frame, []).append(Detection(r.box, r.confidence))
+        out.setdefault(r.frame, []).append(item(r))
     return out
 
 
@@ -162,7 +163,7 @@ def cmd_track(args) -> int:
     cfg = read_config(args.config) if args.config else TrackConfig()
     if args.seed is not None:
         cfg = replace(cfg, sb_params=replace(cfg.sb_params, seed=args.seed))
-    by_frame = _detections_by_frame(records)
+    by_frame = _by_frame(records, lambda r: Detection(r.box, r.confidence))
     out_records: list[MotRecord] = []
     diag_rows: list[str] = []
     make_assigner = make_baseline_assigner if args.baseline else make_flexible_assigner
@@ -216,29 +217,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _ground_truth_from_records(records) -> tuple[GroundTruth, int]:
-    if not records:
-        raise ValueError("ground-truth file contains no records")
-    first = min(r.frame for r in records)
-    last = max(r.frame for r in records)
-    frames: list[dict[int, TruthEntry]] = [{} for _ in range(last - first + 1)]
-    for r in records:
-        frames[r.frame - first][r.track_id] = TruthEntry(r.box, r.confidence > 0.5)
-    return GroundTruth(frames), first
-
-
-def _tracks_from_records(records, first: int, n_frames: int):
-    tracks = [[] for _ in range(n_frames)]
-    for r in records:
-        idx = r.frame - first
-        if 0 <= idx < n_frames:
-            tracks[idx].append((r.track_id, r.box))
-    return tracks
-
-
 def cmd_eval(args) -> int:
-    gt, first = _ground_truth_from_records(read_mot_file(args.ground_truth))
-    tracks = _tracks_from_records(read_mot_file(args.results), first, gt.n_frames)
+    truth = _by_frame(
+        read_mot_file(args.ground_truth),
+        lambda r: (r.track_id, TruthEntry(r.box, r.confidence > 0.5)),
+    )
+    if not truth:
+        raise ValueError("ground-truth file contains no records")
+    # results are scored over the ground truth's frames; a later record of a
+    # (frame, id) pair replaces an earlier one
+    span = range(min(truth), max(truth) + 1)
+    gt = GroundTruth([dict(truth.get(frame, ())) for frame in span])
+    results = _by_frame(read_mot_file(args.results), lambda r: (r.track_id, r.box))
+    tracks = [results.get(frame, []) for frame in span]
     switches = id_switches(tracks, gt, iou_min=args.iou_min)
     survival = occlusion_survival(tracks, gt, anti_aging=args.anti_aging, iou_min=args.iou_min)
     print(f"id_switches={switches}")
@@ -320,7 +311,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

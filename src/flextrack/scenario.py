@@ -126,10 +126,7 @@ def generate(spec: ScenarioSpec, noise_seed: int | None = None) -> tuple[GroundT
         for i, box in boxes.items():
             if i in suppressed:
                 continue
-            if spec.jitter > 0:
-                dx, dy = rng.uniform(-spec.jitter, spec.jitter, size=2)
-            else:
-                dx = dy = 0.0
+            dx, dy = rng.uniform(-spec.jitter, spec.jitter, size=2)
             emitted.append(
                 Detection(BoundingBox(box.left + dx, box.top + dy, box.width, box.height))
             )

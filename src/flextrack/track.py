@@ -307,24 +307,18 @@ def _empty_result(n_t: int, n_d: int) -> _assign.AssignmentResult:
 
 
 def step(
-    trackers,
-    detections,
-    cfg: TrackConfig,
-    assigner=None,
-    id_counter=None,
+    trackers, detections, cfg: TrackConfig, assigner, id_counter
 ) -> tuple[list[Tracker], _assign.AssignmentResult]:
     """Advance the tracking state by one frame.
 
-    Callers that process a whole sequence should pass a persistent
-    ``id_counter`` (any ``next()``-able producing ints) so ids are never reused
-    after deletions; :class:`MultiObjectTracker` does this. A frame with zero
-    detections still predicts, ages, and deletes.
+    ``assigner`` maps the tracker-by-detection similarity matrix to an
+    :class:`~flextrack.assign.AssignmentResult`; frames without trackers or
+    without detections never call it. ``id_counter`` is any ``next()``-able
+    producing the ids of spawned trackers; keep one per sequence so ids are
+    never reused after deletions. :class:`MultiObjectTracker` owns both. A
+    frame with zero detections still predicts, ages, and deletes.
     """
     trackers = list(trackers)
-    if assigner is None:
-        assigner = make_flexible_assigner(cfg)
-    if id_counter is None:
-        id_counter = itertools.count(max((t.id for t in trackers), default=0) + 1)
     for tracker in trackers:
         predict(tracker)
     n_t, n_d = len(trackers), len(detections)
@@ -354,7 +348,5 @@ class MultiObjectTracker:
         self._ids = itertools.count(1)
 
     def step(self, detections) -> _assign.AssignmentResult:
-        self.trackers, result = step(
-            self.trackers, detections, self.cfg, assigner=self.assigner, id_counter=self._ids
-        )
+        self.trackers, result = step(self.trackers, detections, self.cfg, self.assigner, self._ids)
         return result

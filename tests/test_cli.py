@@ -521,6 +521,18 @@ class TestKalmanOverflow:
                 assert rc == 0 and errors == [], (extra, rc, errors)
 
 
+_CAPPED_MAIN = """
+import os, resource, sys
+from flextrack.cli import main
+with open("/proc/self/statm") as fh:
+    in_use = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+# a gigabyte beyond what the interpreter holds: room for the run, not for the matrix
+cap = in_use + 2**30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestSolveQubo:
     def test_single_variable(self, tmp_path, capsys):
         qubo = write(tmp_path / "q.txt", "1\n0 0 -2.5\n")
@@ -574,6 +586,17 @@ class TestSolveQubo:
         qubo = write(tmp_path / "q.txt", "2\n0 zzz 1\n")
         assert main(["solve-qubo", qubo]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").is_file(), reason="needs /proc/self/statm")
+    @pytest.mark.parametrize("n", [100_000, 10**8])
+    def test_out_of_memory_is_data_error(self, tmp_path, n):
+        """A count line asking for more memory than the process may take exits 2
+        with one error line and no traceback."""
+        qubo = write(tmp_path / "q.txt", f"{n}\n")
+        proc = fresh_python("-c", _CAPPED_MAIN, "solve-qubo", qubo)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestSimulate:
@@ -805,6 +828,60 @@ class TestEvalCommand:
         assert main(["eval", records, records, flag]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def _mot_lines(*records):
+    """MOT lines for ``(frame, id, box, confidence)``, ``box`` as ``left, top``
+    of a 20 x 20 box."""
+    return "".join(
+        f"{frame},{obj},{left},{top},20,20,{conf},-1,-1,-1\n"
+        for frame, obj, (left, top), conf in records
+    )
+
+
+A, B = (10, 10), (200, 10)  # two disjoint boxes
+
+
+class TestEvalAlignment:
+    """``eval`` scores results over the ground truth's frame span, frame by frame."""
+
+    def run(self, tmp_path, capsys, gt, results, *flags):
+        gt_path = write(tmp_path / "gt.txt", _mot_lines(*gt))
+        results_path = write(tmp_path / "r.txt", _mot_lines(*results))
+        assert main(["eval", results_path, gt_path, *flags]) == 0
+        return capsys.readouterr().out
+
+    def test_span_starts_late_and_skips_a_frame(self, tmp_path, capsys):
+        # frames 3-8 without 5, scored with one frame for re-association:
+        # object 0 hides at 4, so its window ends at the empty frame 5 and its
+        # id at 6 comes too late; object 1 hides at 6 and is back at 7
+        gt = [(3, 0, A, 1), (3, 1, B, 1), (4, 0, A, 0), (4, 1, B, 1), (6, 0, A, 1),
+              (6, 1, B, 0), (7, 0, A, 1), (7, 1, B, 1), (8, 0, A, 1)]
+        results = [(3, 1, A, 1), (3, 3, B, 1), (4, 3, B, 1), (6, 1, A, 1), (7, 2, A, 1),
+                   (7, 3, B, 1), (8, 2, A, 1)]
+        assert self.run(tmp_path, capsys, gt, results, "--anti-aging=1") == (
+            "id_switches=1\nocclusion_survival=0.500000\n"
+        )
+
+    def test_later_ground_truth_record_wins(self, tmp_path, capsys):
+        # the second record of (frame 2, object 0) hides the object, so frame 2
+        # opens an occlusion window that id 2 at frame 3 does not survive
+        gt = [(1, 0, A, 1), (2, 0, B, 1), (2, 0, A, 0), (3, 0, A, 1)]
+        results = [(1, 1, A, 1), (2, 1, A, 1), (3, 2, A, 1)]
+        assert self.run(tmp_path, capsys, gt, results) == (
+            "id_switches=1\nocclusion_survival=0.000000\n"
+        )
+
+    def test_results_outside_the_span_are_dropped(self, tmp_path, capsys):
+        # ground truth covers frames 2-4; each result at frames 1, 5 and 6 is
+        # listed after frame 4's, so placed on frame 4 it would take object 0
+        gt = [(2, 0, A, 1), (2, 1, B, 1), (3, 0, A, 0), (3, 1, B, 1), (4, 0, A, 1),
+              (4, 1, B, 1)]
+        results = [(4, 4, B, 1), (4, 1, A, 1), (5, 9, A, 1), (1, 7, A, 1), (2, 3, B, 1),
+                   (6, 8, A, 1), (2, 1, A, 1), (3, 4, B, 1)]
+        assert self.run(tmp_path, capsys, gt, results) == (
+            "id_switches=1\nocclusion_survival=1.000000\n"
+        )
 
 
 class TestExitCodes:

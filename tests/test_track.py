@@ -610,7 +610,10 @@ class TestStep:
 
     def test_spawn_from_empty(self):
         detections = [det(0, 0, 10, 10), det(50, 0, 10, 10), det(100, 0, 10, 10)]
-        trackers, result = step([], detections, self.cfg())
+        cfg = self.cfg()
+        trackers, result = step(
+            [], detections, cfg, track.make_flexible_assigner(cfg), itertools.count(1)
+        )
         assert len(trackers) == 3
         assert sorted(t.id for t in trackers) == [1, 2, 3]
         assert all(t.age == 0 for t in trackers)
@@ -621,7 +624,9 @@ class TestStep:
         young = new_tracker(det(0, 0, 10, 10), 1)
         old = new_tracker(det(50, 50, 10, 10), 2)
         old.age = cfg.max_age  # one more predict pushes it over
-        trackers, result = step([young, old], [], cfg)
+        trackers, result = step(
+            [young, old], [], cfg, track.make_flexible_assigner(cfg), itertools.count(3)
+        )
         assert [t.id for t in trackers] == [1]
         assert trackers[0].age == 1
         assert all(d.state is TrackerState.UNMATCH for d in result.decisions)
@@ -631,7 +636,7 @@ class TestStep:
         t = new_tracker(det(0, 0, 10, 10), 1)
         t.age = cfg.max_age
         assigner = scripted_assigner([(TrackerState.UNMATCH, None)])
-        trackers, _ = step([t], [det(500, 500, 10, 10)], cfg, assigner=assigner)
+        trackers, _ = step([t], [det(500, 500, 10, 10)], cfg, assigner, itertools.count(2))
         assert all(tr.id != 1 for tr in trackers)
 
     def test_potential_match_goes_negative_and_survives(self):
@@ -639,7 +644,7 @@ class TestStep:
         t = new_tracker(det(0, 0, 10, 10), 1)
         t.age = 3
         assigner = scripted_assigner([(TrackerState.POTENTIAL_MATCH, 0)])
-        trackers, _ = step([t], [det(0, 0, 10, 10)], cfg, assigner=assigner)
+        trackers, _ = step([t], [det(0, 0, 10, 10)], cfg, assigner, itertools.count(2))
         survivor = next(tr for tr in trackers if tr.id == 1)
         assert survivor.age == 3 + 1 - cfg.anti_aging == -1
 
@@ -648,7 +653,7 @@ class TestStep:
         t = new_tracker(det(0, 0, 10, 10), 1)
         t.x[4] = 3.0  # moving right
         assigner = scripted_assigner([(TrackerState.POTENTIAL_MATCH, 0)])
-        trackers, _ = step([t], [det(0, 0, 10, 10)], cfg, assigner=assigner)
+        trackers, _ = step([t], [det(0, 0, 10, 10)], cfg, assigner, itertools.count(2))
         survivor = next(tr for tr in trackers if tr.id == 1)
         assert survivor.x[0] == pytest.approx(8.0)  # prediction, not the detection
 
@@ -657,7 +662,7 @@ class TestStep:
         t = new_tracker(det(0, 0, 10, 10), 1)
         t.age = 2
         assigner = scripted_assigner([(TrackerState.MATCH, 0)])
-        trackers, _ = step([t], [det(2, 0, 10, 10)], cfg, assigner=assigner)
+        trackers, _ = step([t], [det(2, 0, 10, 10)], cfg, assigner, itertools.count(2))
         survivor = next(tr for tr in trackers if tr.id == 1)
         assert survivor.age == 0
 
