@@ -159,13 +159,21 @@ def ising_energy(p: IsingProblem, spins) -> float:
 
     The problem's ``offset`` is not added; add it explicitly when comparing
     against QUBO energies.
+
+    A CSR ``j`` multiplies ``-0.5 * s`` from the right: scipy's product from
+    the left goes through the transpose and took 25-75 against 9-45 us on
+    400- to 1444-spin assignment frames. ``j`` is symmetric, and scipy sums
+    each row of ``j @ v`` in the order it sums that column of ``v @ j``, so
+    the energy keeps its bits, to the ends of the float range.
     """
     s = np.asarray(spins, dtype=np.float64)
     if s.shape != (p.n,):
         raise ValueError(f"expected {p.n} spins, got shape {s.shape}")
     if not np.all(np.abs(s) == 1.0):
         raise ValueError("spins must be -1 or +1")
-    return float(-0.5 * s @ p.j @ s + p.h @ s)
+    if type(p.j) is np.ndarray:
+        return float(-0.5 * s @ p.j @ s + p.h @ s)
+    return float(s @ (p.j @ (-0.5 * s)) + p.h @ s)
 
 
 def spins_to_bits(spins) -> np.ndarray:

@@ -86,10 +86,10 @@ def sb_step_loop(p, params):
     all ``n_steps`` steps, so it is also the oracle of the fused loop's stop
     once the state is frozen at the wall.
 
-    Returns the spins, the final positions of every restart, and the number
-    of steps the fused loop should run: up to the first step at which every
-    restart repeats the clipped state of the step before, both steps having
-    taken every spin over the wall.
+    Returns the spins (``None`` if no restart's energy is finite), the final
+    positions of every restart, and the number of steps the fused loop should
+    run: up to the first step at which every restart repeats the clipped state
+    of the step before, both steps having taken every spin over the wall.
     """
     rng = np.random.default_rng(params.seed)
     coupling = p.j
@@ -106,14 +106,15 @@ def sb_step_loop(p, params):
         positions.append(state.x)
         spins = np.where(state.x >= 0.0, 1, -1)
         energy = ising_energy(p, spins)
-        if energy < best_energy:
+        if energy < best_energy and np.isfinite(energy):
             best_spins, best_energy = spins, energy
     steps = next((k + 1 for k, rows in enumerate(zip(*repeats)) if all(rows)), params.n_steps)
     return best_spins, positions, steps
 
 
 def fused_loop(p, params):
-    """``solve_ising``'s spins and the final positions of every restart."""
+    """``solve_ising``'s spins and the final positions of every restart; the
+    spins are ``None`` when it raises because no restart's energy is finite."""
     positions = []
     digitize = sb._digitize
 
@@ -123,7 +124,11 @@ def fused_loop(p, params):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sb, "_digitize", recording_digitize)
-        spins = solve_ising(p, params)
+        try:
+            spins = solve_ising(p, params)
+        except ValueError as exc:
+            assert "no restart reached a finite Ising energy" in str(exc)
+            spins = None
     return spins, positions
 
 
@@ -134,7 +139,8 @@ def per_restart_loop(p, params):
     It runs all ``n_steps`` steps, so it is also the oracle of the fused loop's
     stop once the state is frozen at the wall.
 
-    Returns the spins and the final positions of every restart.
+    Returns the spins (``None`` if no restart's energy is finite) and the final
+    positions of every restart.
     """
     rng = np.random.default_rng(params.seed)
     c0, dt = params.c0, params.dt
@@ -161,12 +167,13 @@ def per_restart_loop(p, params):
         positions.append(x)
         spins = sb._digitize(x)
         energy = ising_energy(p, spins)
-        if energy < best_energy:
+        if energy < best_energy and np.isfinite(energy):
             best_spins, best_energy = spins, energy
     return best_spins, positions
 
 
 def assert_same_run(fused, reference):
+    assert (fused[0] is None) == (reference[0] is None)
     assert np.array_equal(fused[0], reference[0])
     assert [x.tobytes() for x in fused[1]] == [x.tobytes() for x in reference[1]]
 
@@ -363,6 +370,11 @@ class TestSolveQubo:
         assert spins.shape == (1,)
 
 
+def exponent_entries(rng, shape, exponent):
+    """Entries of random sign and magnitude between 10**(exponent - 3) and 10**exponent."""
+    return rng.choice((-1.0, 1.0), shape) * 10.0 ** (exponent - rng.uniform(0, 3, shape))
+
+
 class TestErrorState:
     """A solve ignores floating-point errors whatever the caller's NumPy error
     state, so the state changes neither its spins nor its error, and it never
@@ -397,9 +409,9 @@ class TestErrorState:
     @example(n=4, j_exp=0, h_exp=0, dt=100.0, scale=0.8, noise=1e307, restarts=1, seed=0)
     def test_same_outcome_under_any_error_state(self, n, j_exp, h_exp, dt, scale, noise, restarts, seed):
         rng = np.random.default_rng(seed)
-        raw = rng.choice((-1.0, 1.0), (n, n)) * 10.0 ** (j_exp - rng.uniform(0, 3, (n, n)))
+        raw = exponent_entries(rng, (n, n), j_exp)
         j = np.triu(raw, 1) + np.triu(raw, 1).T
-        p = IsingProblem(j=j, h=rng.choice((-1.0, 1.0), n) * 10.0 ** (h_exp - rng.uniform(0, 3, n)))
+        p = IsingProblem(j=j, h=exponent_entries(rng, n, h_exp))
         params = SbParams(c0=scale, eta=-scale, dt=dt, init_noise=noise, seed=seed, restarts=restarts)
         assert self.outcome(p, params, all="raise") == self.outcome(p, params)
 
@@ -457,6 +469,102 @@ class TestStackedRestarts:
             assert np.array_equal(spins, rows[0])
             split += any(not np.array_equal(r, rows[0]) for r in rows[1:])
         assert split >= 3
+
+
+# SbParams at and past both ends of the float range, for TestFloatRange; the
+# exponents favour the ends, where forces and biases overflow or underflow
+EXPONENTS = st.sampled_from([308, 300, -300]) | st.integers(-300, 308)
+EXTREME_PARAMS = dict(
+    j_exp=EXPONENTS,
+    h_exp=EXPONENTS,
+    dt=st.sampled_from([1e-300, 1e-3, 0.3, 7.0, 1e150]),
+    c0=st.sampled_from([1e300, 1e150, 0.8, 1e-300]),
+    eta=st.sampled_from([1e300, -1e300, 1e150, -0.8, 0.8, 1e-300]),
+    noise=st.sampled_from([0.0, 0.1, 1e300]),
+    n_steps=st.sampled_from([7, 60, 400]),
+    restarts=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+
+
+class TestFloatRange:
+    """The fused loop against its oracles at both ends of the float range, on
+    trajectories that overflow to inf and NaN or underflow: the same spins, or
+    the same "no finite energy" error, and the same final positions byte for byte.
+    Couplings and biases have random signs and magnitudes within three decades
+    below ``10**j_exp`` and ``10**h_exp``."""
+
+    @staticmethod
+    def assert_same_as(oracle, raw, h_exp, c0, eta, dt, noise, n_steps, restarts, seed, rng):
+        j = np.triu(raw, 1) + np.triu(raw, 1).T
+        p = IsingProblem(j=j, h=exponent_entries(rng, j.shape[0], h_exp))
+        params = SbParams(c0=c0, eta=eta, dt=dt, n_steps=n_steps, restarts=restarts, seed=seed,
+                          init_noise=noise)
+        with np.errstate(all="ignore"):
+            fused, reference = fused_loop(p, params), oracle(p, params)[:2]
+        assert_same_run(fused, reference)
+        return p
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), **EXTREME_PARAMS)
+    # forces and biases past the float range: kicks of inf - inf leave NaN spins
+    @example(n=12, j_exp=308, h_exp=308, dt=0.3, c0=40.0, eta=40.0, noise=0.1, n_steps=400,
+             restarts=2, seed=0)
+    # a long step throws every position past the float range at once
+    @example(n=5, j_exp=0, h_exp=0, dt=1e150, c0=0.8, eta=0.8, noise=0.1, n_steps=7,
+             restarts=1, seed=0)
+    # couplings and biases that underflow in every product
+    @example(n=12, j_exp=-300, h_exp=-300, dt=1e-300, c0=1e-300, eta=1e-300, noise=0.1,
+             n_steps=60, restarts=3, seed=0)
+    def test_dense_equals_sb_step_loop(self, n, j_exp, **params):
+        rng = np.random.default_rng(params["seed"])
+        p = self.assert_same_as(sb_step_loop, exponent_entries(rng, (n, n), j_exp), rng=rng, **params)
+        assert type(p.j) is np.ndarray
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_t=st.integers(20, 24), n_d=st.integers(20, 24), **EXTREME_PARAMS)
+    @example(n_t=20, n_d=24, j_exp=308, h_exp=308, dt=0.3, c0=40.0, eta=40.0, noise=0.1,
+             n_steps=60, restarts=3, seed=0)
+    @example(n_t=20, n_d=20, j_exp=0, h_exp=0, dt=1e150, c0=0.8, eta=0.8, noise=1e300,
+             n_steps=60, restarts=1, seed=0)
+    @example(n_t=24, n_d=21, j_exp=-300, h_exp=-300, dt=1e-300, c0=1e-300, eta=1e-300,
+             noise=0.1, n_steps=60, restarts=2, seed=0)
+    def test_csr_equals_per_restart_loop(self, n_t, n_d, j_exp, **params):
+        # an assignment-shaped coupling: pairs that share a tracker or a detection
+        rng = np.random.default_rng(params["seed"])
+        t, d = np.divmod(np.arange(n_t * n_d), n_d)
+        shared = (t[:, None] == t) | (d[:, None] == d)
+        raw = np.where(shared, exponent_entries(rng, shared.shape, j_exp), 0.0)
+        p = self.assert_same_as(per_restart_loop, raw, rng=rng, **params)
+        assert sparse.issparse(p.j)
+
+    @pytest.mark.parametrize("layout", ["row", "stacked", "transposed"])
+    def test_wall_clip_is_copysign_on_special_floats(self, layout):
+        # the loop's wall (clip by minimum and maximum, zero momenta by putmask)
+        # against the sign copy onto the spins over the wall, on each layout
+        # the loop steps: one row, dense rows as (restarts, n, 1), CSR rows transposed
+        nan_bits = np.array([0x7FF8000000000123, 0xFFF8000000000000], dtype=np.uint64)
+        big = np.nextafter(1.0, 2.0)
+        values = np.r_[-0.0, 0.0, 1.0, -1.0, big, -big, 1e308, -1e308, np.inf, -np.inf,
+                       np.nan, -np.nan, nan_bits.view(np.float64), 0.5, -5e-324]
+
+        def laid_out(v):
+            if layout == "row":
+                return v.copy()
+            if layout == "stacked":
+                return np.stack([v, v[::-1]])[:, :, None]
+            return np.stack([v, v[::-1]]).T
+
+        x, y = laid_out(values), laid_out(np.arange(1.0, values.size + 1))
+        want_x, want_y = x.copy(), y.copy()
+        over = np.abs(x) > 1.0
+        np.copysign(1.0, want_x, out=want_x, where=over)
+        want_y[over] = 0.0
+        one, minus_one, zero = np.array(1.0), np.array(-1.0), np.array(0.0)
+        np.minimum(x, one, out=x)
+        np.maximum(x, minus_one, out=x)
+        np.putmask(y, over, zero)
+        assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
 
 
 class CountingProduct:
@@ -684,6 +792,18 @@ class TestProductEntries:
     def test_schedule_is_built_once_per_length(self):
         assert sb._schedule(400) is sb._schedule(400)
         assert sb._schedule(3) == (-1.0, -(1.0 - 1 / 3), -(1.0 - 2 / 3))
+        # read-only 0-d float64 entries, as built after solves that throw every
+        # position to inf before the wall, and solves whose steps underflow
+        p = random_problem(6, seed=6)
+        solve_ising(p, SbParams(n_steps=7, c0=1e300, eta=1e300, dt=1e150, restarts=3))
+        solve_ising(p, SbParams(c0=1e-300, eta=1e-300, dt=1e-300))
+        for n in (3, 7, 400):
+            schedule = sb._schedule(n)
+            assert len(schedule) == n
+            for k, entry in enumerate(schedule):
+                assert type(entry) is np.ndarray and entry.shape == () and entry.dtype == np.float64
+                assert not entry.flags.writeable
+                assert entry.tobytes() == np.float64(-(1.0 - k / n)).tobytes()
 
 
 class TestCouplingProduct:
