@@ -130,8 +130,9 @@ def build_assignment_qubo(s, c: float) -> tuple[QuboProblem, float]:
     if not np.isfinite(diagonal).all():
         raise ValueError(f"assignment QUBO overflows at penalty weight {c}")
     np.fill_diagonal(q, diagonal)
-    # symmetric and finite by construction, so the validating constructor is skipped
-    return QuboProblem._from_symmetric(q), dropped
+    # symmetric and finite by construction, so the validating constructor is
+    # skipped; the grid lets qubo_to_ising store the coupling in closed form
+    return QuboProblem._from_symmetric(q, (n_t, n_d, float(c))), dropped
 
 
 def hungarian(s) -> np.ndarray:

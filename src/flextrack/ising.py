@@ -24,16 +24,20 @@ wraps them.
 
 The coupling's form is decided here, once: :func:`qubo_to_ising` and the
 validating ``IsingProblem`` constructor store ``j`` as the SB solver multiplies
-by it, so ``qubo_to_ising(p).j`` may be a CSR array (:func:`ising_energy`
-takes either form). Above 2**17 entries (``n > 362``) with at most one in eight
-off-diagonal entries nonzero, ``j`` is the canonical ``scipy.sparse`` CSR array
-of the dense matrix, built from the nonzeros without it (scipy is imported only
-then). Per product, one BLAS thread on a two-core Xeon host, CSR took 16
-against 23 us on 361-spin assignment frames and 18 against 96 us on 576, and
-lost above a fill of about 1/8 on random patterns at ``n = 400``. Otherwise
-``j`` is dense, C-ordered and 64-byte aligned: at 16 or 48 mod 64, where
-``malloc`` may put it, the four-restart product at 256 spins took 27-31 us
-against 19-21 us, with the same bits.
+by it, in one of three forms, and :func:`ising_energy` takes each of them:
+
+- the assignment coupling. ``build_assignment_qubo`` records its grid
+  ``(n_t, n_d, c)`` on the problem it returns, and above 2**17 entries
+  (``n > 362``) with ``c > 0``, :func:`qubo_to_ising` stores ``j`` in closed
+  form: ``-c/2`` between two pairs that share a tracker or a detection, zero
+  elsewhere. Its product costs O(n), from prefix sums along each axis of the
+  grid (:class:`_AssignmentCoupling`), with no ``n x n`` array and no scipy;
+- a CSR array, above 2**17 entries with at most one in eight off-diagonal
+  entries nonzero: the canonical ``scipy.sparse`` CSR array of the dense
+  matrix, built from its nonzeros (scipy is imported only then). Sparse QUBO
+  files and sparse couplings given to ``IsingProblem`` take it;
+- otherwise a dense array, C-ordered and 64-byte aligned (where ``malloc``
+  places a block changed the speed of the four-restart product, not its bits).
 
 :func:`read_qubo_file` reads the QUBO text format: it parses the count line
 once, then reads the entries in one ``np.loadtxt`` pass by name or, for every
@@ -56,7 +60,7 @@ import numpy as np
 
 BRUTE_FORCE_MAX_VARS = 24
 _ENUM_CHUNK = 1 << 18
-# the coupling's CSR rule (module docstring)
+# the coupling's form rule (module docstring)
 _DENSE_MAX_ENTRIES = 1 << 17
 _CSR_MAX_FILL = 8
 
@@ -71,6 +75,8 @@ class QuboProblem:
     """
 
     q: np.ndarray
+    # (n_t, n_d, c) of an assignment QUBO, set by build_assignment_qubo only
+    _assignment = None
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=np.float64)
@@ -87,10 +93,14 @@ class QuboProblem:
         object.__setattr__(self, "q", q)
 
     @classmethod
-    def _from_symmetric(cls, q: np.ndarray) -> QuboProblem:
-        """Wrap a matrix the package built symmetric and finite, unchecked (module docstring)."""
+    def _from_symmetric(cls, q: np.ndarray, assignment=None) -> QuboProblem:
+        """Wrap a matrix the package built symmetric and finite, unchecked
+        (module docstring); ``assignment`` is the grid ``(n_t, n_d, c)`` of an
+        assignment QUBO."""
         p = object.__new__(cls)
         object.__setattr__(p, "q", q)
+        if assignment is not None:
+            object.__setattr__(p, "_assignment", assignment)
         return p
 
     @property
@@ -155,16 +165,16 @@ def qubo_energy(p: QuboProblem, bits) -> float:
 
 
 def ising_energy(p: IsingProblem, spins) -> float:
-    """Evaluate the Ising energy for a +/-1 spin vector, on a dense or CSR ``j``.
+    """Evaluate the Ising energy for a +/-1 spin vector, on ``j`` in any of its forms.
 
     The problem's ``offset`` is not added; add it explicitly when comparing
     against QUBO energies.
 
-    A CSR ``j`` multiplies ``-0.5 * s`` from the right: scipy's product from
-    the left goes through the transpose and took 25-75 against 9-45 us on
-    400- to 1444-spin assignment frames. ``j`` is symmetric, and scipy sums
-    each row of ``j @ v`` in the order it sums that column of ``v @ j``, so
-    the energy keeps its bits, to the ends of the float range.
+    A CSR or assignment ``j`` multiplies ``-0.5 * s`` from the right, through
+    ``@``: scipy's CSR product from the left goes through the transpose and
+    is slower. ``j`` is symmetric, and scipy sums each row of ``j @ v`` in the
+    order it sums that column of ``v @ j``, so the energy keeps its bits, to
+    the ends of the float range.
     """
     s = np.asarray(spins, dtype=np.float64)
     if s.shape != (p.n,):
@@ -190,7 +200,8 @@ def qubo_to_ising(p: QuboProblem) -> IsingProblem:
     ``qubo_energy(p, b) == ising_energy(result, 2b - 1) + result.offset``
     holds exactly for every bit vector.
 
-    ``j`` comes in the solver's form, dense or CSR (module docstring).
+    ``j`` comes in the solver's form: the assignment coupling for a large
+    assignment QUBO, else dense or CSR (module docstring).
 
     Raises ``ValueError`` when ``h`` or ``offset`` overflows, as sums of a
     finite ``q`` can.
@@ -201,9 +212,66 @@ def qubo_to_ising(p: QuboProblem) -> IsingProblem:
         offset = float(q.sum() + np.trace(q)) / 4.0
     if not (np.isfinite(h).all() and np.isfinite(offset)):
         raise ValueError("QUBO overflows in its Ising form: a row sum or the offset is not finite")
+    grid = p._assignment
+    if grid is not None and grid[2] > 0 and q.size > _DENSE_MAX_ENTRIES:
+        return IsingProblem._from_symmetric(_AssignmentCoupling(*grid), h, offset)
     # a product with -0.5 rounds exactly as -q / 2 does; j is symmetric because
     # q is, has a zero diagonal, and halving a finite q keeps it finite
     return IsingProblem._from_symmetric(_coupling(q, -0.5), h, offset)
+
+
+class _AssignmentCoupling:
+    """The coupling ``-q / 2`` of an ``n_t x n_d`` assignment QUBO at weight
+    ``c`` in closed form: spin ``(t, d)`` couples at ``-c/2`` to the other
+    spins of row ``t`` and of column ``d`` of the grid, so ``(J x)[t, d]`` is
+    ``-c/2`` times (row ``t`` of ``x`` without column ``d`` plus column ``d``
+    without row ``t``). Each exclusion is the exclusive prefix sum plus (the
+    total less the inclusive prefix sum) along its axis, so it rounds by
+    position (the ``sb`` docstring says why). Read-only: :meth:`product`
+    gives each solve buffers of its own, and ``@`` makes new ones.
+    """
+
+    __slots__ = ("shape", "grid", "half")
+
+    def __init__(self, n_t: int, n_d: int, c: float):
+        self.shape = (n_t * n_d, n_t * n_d)
+        self.grid = (n_t, n_d)
+        self.half = np.array(c * -0.5)
+        self.half.flags.writeable = False
+
+    def product(self, x: np.ndarray):
+        """``self @ x`` as a one-argument call on arrays shaped like ``x``, ``(n,)``
+        or ``(n, restarts)``: each call overwrites and returns one buffer."""
+        n_t, n_d = self.grid
+        tail = x.shape[1:]
+        grid = self.grid + tail
+        # prefix sums along each axis after a zero: exclusive, inclusive, total
+        rows, cols = np.zeros((n_t, n_d + 1) + tail), np.zeros((n_t + 1, n_d) + tail)
+        row_ex, row_in, row_total = rows[:, :-1], rows[:, 1:], rows[:, -1:]
+        col_ex, col_in, col_total = cols[:-1], cols[1:], cols[-1:]
+        out, col = np.empty(grid), np.empty(grid)
+        result = out.reshape(x.shape)
+        half, add, subtract, multiply = self.half, np.add, np.subtract, np.multiply
+        accumulate = np.add.accumulate
+        first, first_grid = x, x.reshape(grid)
+
+        def assignment_product(x):
+            g = first_grid if x is first else x.reshape(grid)
+            accumulate(g, axis=1, out=row_in)
+            accumulate(g, axis=0, out=col_in)
+            subtract(row_total, row_in, out=out)
+            add(out, row_ex, out=out)
+            subtract(col_total, col_in, out=col)
+            add(col, col_ex, out=col)
+            add(out, col, out=out)
+            multiply(out, half, out=out)
+            return result
+
+        return assignment_product
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        return self.product(x)(x)
 
 
 def _coupling(m: np.ndarray, scale: float):

@@ -52,10 +52,8 @@ unchanged ``x`` is not yet a frozen state, and such a step does not count.
 And a large inward kick can take a spin from ``+1`` past ``-1`` in one step,
 over the wall both times; requiring the two clipped states to be equal rules
 that out. The argument needs a finite problem, which ``IsingProblem`` checks.
-On the paper's five-object scene (seeds 1 to 3) every strict-weight solve
-froze, half of them by step 126 of 400, and 86 of 135 tolerant-weight solves
-froze, half of those by step 382: the solves ran 70 % of their steps. Dense
-random QUBOs rarely freeze and pay for one count of the over-wall mask a step.
+Dense random QUBOs rarely freeze and pay for one count of the over-wall mask
+a step.
 
 Restarts are independent trajectories, so they are the rows of one
 ``(restarts, n)`` state and the loop steps them all at once. One draw of
@@ -64,25 +62,22 @@ the same order. Each row then sees exactly the arithmetic it would see alone;
 only the coupling product needs care. It dominates a step at large ``n``
 (Goto, Tatsumura & Dixon, Sci. Adv. 5:eaav2372, 2019), so ``J`` comes in the
 form ``ising.qubo_to_ising`` or the ``IsingProblem`` constructor chose once
-(the ``ising`` docstring has the rule), and ``qubo_to_ising(p).j`` may be a
-CSR array: above 362 spins when at most one in eight entries is nonzero, as
-on assignment frames from 20 x 20 up, else it is dense, C-ordered and aligned
-to 64 bytes. Before its loop each solve picks the cheapest entry that gives
-the bits of ``J @ x`` (:func:`_product`). Per product, one BLAS thread on a
-two-core Xeon host:
+(the ``ising`` docstring has the rule): the assignment coupling, CSR or
+dense. Before its loop each solve picks the cheapest entry that gives the
+bits of ``J @ x`` (:func:`_product`; README "Solver notes" has the timings):
 
+- the assignment coupling, one restart or several: its own product, into
+  buffers made for this solve. Several restarts come as ``(n, restarts)``
+  and are summed over ``(n_t, n_d, restarts)``, one sequential prefix sum per
+  axis, so each row gets the bits it gets alone;
 - one restart, dense ``J`` in C order, as both constructors store it:
-  ``J.dot(x)``. It makes the same BLAS ``dgemv`` call as ``J @ x`` at half
-  the dispatch, 0.47 against 0.87 us at 25 spins;
+  ``J.dot(x)``, the same BLAS ``dgemv`` call as ``J @ x`` at less dispatch;
 - one restart, CSR ``J``: scipy's private ``_sparsetools.csr_matvec`` into a
-  fresh zeroed array. ``J @ x`` runs that same kernel after about 2 us of
-  checks: 14.9 against 16.9 us on a 651-spin (21 x 31) frame;
+  fresh zeroed array, the kernel ``J @ x`` runs after its checks;
 - dense ``J``, several restarts: ``J`` against each row as a matrix-vector
   product (``J @ x`` on an ``(restarts, n, 1)`` view), which BLAS computes
   as it computes ``J @ x`` per row; ``x @ J`` and ``J @ x.T`` are
-  matrix-matrix products, and neither was bit-identical on 256 spins. Four
-  rows at 256 spins take 19-21 us, against 27-31 us with ``J`` at 16 or 48
-  mod 64 bytes, where ``malloc`` may put it (same bits);
+  matrix-matrix products, and neither was bit-identical on 256 spins;
 - CSR ``J``, several restarts: ``J @ x.T``, scipy's multi-vector kernel,
   which sums each row's products in the single-vector order.
 
@@ -91,15 +86,13 @@ in Fortran order or as a strided view, goes through ``coupling.__matmul__``,
 the method that ``coupling @ x`` calls.
 Besides the product, a step makes 8 NumPy arithmetic calls, 3 to find the
 spins over the wall, and 3 more to clip them when there are any. At 25 spins
-each call costs little more than NumPy's fixed cost, so the loop trims that
-(single calls, in-process medians on a two-core Xeon host):
+each call costs little more than NumPy's fixed cost, so the loop trims that:
 
 - ``c0``, ``dt``, the wall's ``1``, ``-1`` and ``0``, and every step's detuning
   are read-only 0-d float64 arrays, made once per solve (the detuning once per
-  ``n_steps``). Under NumPy 2's rule for Python scalars (NEP 50) a Python-float
-  operand costs more per call: ``out *= 0.3`` took 1.15 against 0.71 us at
-  25 spins with a 0-d ``0.3``. ``c0`` is not folded into ``J``, nor ``dt``
-  into another term, because either rounds differently;
+  ``n_steps``): under NumPy 2's rule for Python scalars (NEP 50) a
+  Python-float operand costs more per call. ``c0`` is not folded into ``J``,
+  nor ``dt`` into another term, because either rounds differently;
 - the kick, ``y * dt``, ``|x|`` and the over-wall mask are written (``out=``)
   into two buffers made once per solve;
 - the wall clips ``x`` in place with ``np.minimum(x, 1)`` then
@@ -107,19 +100,18 @@ each call costs little more than NumPy's fixed cost, so the loop trims that
   over. The clip changes exactly the spins over the wall (``|x| > 1`` is
   false for a NaN, and the clip leaves a NaN as it is), so it gives the bits
   of ``np.copysign(1, x, where=over)`` on every float, signed zeros and
-  infinities included, in 1.8 against 2.5 us at 25 spins and 2.7 against
-  6.0 us at 650.
+  infinities included.
 
 The loop and the restart scoring run under one ``np.errstate(all="ignore")``.
-The error state changes no arithmetic, only whether NumPy reports an error, and
-ignoring every error measured as fast as the caller's default state.
+The error state changes no arithmetic, only whether NumPy reports an error.
 The spins are digitized and scored row by row, and the earliest restart wins
-a tie. CSR sums a row in another order than BLAS, so its trajectories and
-energies differ from the dense ones in the last bits. An exactly symmetric
-product (the assignment coupling's closed form from row and column sums) is
-deliberately not used: it keeps tied spins (equal similarities, such as
-zero-IOU pairs) in step through the wall, and strict tables came out
-one-to-one less often.
+a tie. Each form of ``J`` sums a row in its own order, so trajectories and
+energies differ between the forms in the last bits. The assignment coupling
+sums by position along each row and column of the grid, as CSR sums a row.
+The exactly symmetric closed form ``row sum + column sum - 2 x`` is not
+used: it rounds every spin of a tied row alike (equal similarities, such as
+zero-IOU pairs), keeps those spins in step through the wall, and strict
+tables came out repair-free less often than with CSR (README "Solver notes").
 """
 
 from __future__ import annotations
@@ -131,6 +123,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ising import IsingProblem, QuboProblem, ising_energy, qubo_energy, qubo_to_ising, spins_to_bits
+from .ising import _AssignmentCoupling
 
 
 @dataclass(frozen=True)
@@ -198,6 +191,9 @@ def _product(coupling, x: np.ndarray):
     gives the same bits (the module docstring lists the cases)."""
     if x.ndim == 1 and type(coupling) is np.ndarray and coupling.flags.c_contiguous:
         return coupling.dot
+    if type(coupling) is _AssignmentCoupling:
+        # one restart or several, into buffers that belong to this solve
+        return coupling.product(x)
     if x.ndim == 1 and getattr(coupling, "format", None) == "csr" and coupling.dtype == x.dtype:
         # the kernel csr_array.__matmul__ runs for one vector, without its checks
         from scipy.sparse import _sparsetools
@@ -227,7 +223,7 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     overflowing position is clipped at the wall, and a non-finite energy loses.
 
     All trajectories are the rows of one state, stepped together by the fused
-    loop described in the module docstring, on ``p.j`` as it is (dense or CSR).
+    loop described in the module docstring, on ``p.j`` in the form it comes in.
     """
     rng = np.random.default_rng(params.seed)
     c0, dt, one, minus_one, zero = map(_constant, (params.c0, params.dt, 1.0, -1.0, 0.0))
@@ -236,7 +232,8 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     y_rows = rng.uniform(-params.init_noise, params.init_noise, size=x_rows.shape)
     with np.errstate(all="ignore"):
         # views of the rows shaped so that ``coupling @ x`` is the product the
-        # module docstring picks: one row, one gemv per row, or one CSR multivector
+        # module docstring picks: one row, one gemv per row, or columns for a
+        # CSR multivector or the assignment coupling
         if params.restarts == 1:
             x, y, eta_h = x_rows[0], y_rows[0], params.eta * p.h
         elif type(p.j) is np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 from scipy import sparse
 
-from flextrack.ising import IsingProblem, QuboProblem
+from flextrack.ising import IsingProblem, QuboProblem, _AssignmentCoupling
 
 
 def check_one_to_one(b) -> bool:
@@ -41,6 +41,13 @@ def dense_ising(problem: QuboProblem) -> IsingProblem:
     h = problem.q.sum(axis=1) / 2.0
     offset = float(problem.q.sum() + np.trace(problem.q)) / 4.0
     return IsingProblem._from_symmetric(dense_coupling(problem), h, offset)
+
+
+def assignment_grid(j):
+    """``(n_t, n_d, -c/2)`` of an assignment coupling, else None."""
+    if type(j) is not _AssignmentCoupling:
+        return None
+    return (*j.grid, float(j.half))
 
 
 def coupling_arrays(j) -> list:

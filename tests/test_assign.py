@@ -28,7 +28,7 @@ from flextrack.assign import (
 )
 from flextrack.sb import SbParams, solve_qubo
 from flextrack.ising import IsingProblem, QuboProblem, brute_force_qubo, qubo_energy, qubo_to_ising
-from oracles import check_one_to_one, coupling_arrays, dense_coupling
+from oracles import assignment_grid, check_one_to_one, coupling_arrays, dense_coupling
 
 
 def direct_cost(s, table, c):
@@ -256,15 +256,21 @@ class TestBuildAssignmentQubo:
         assert type(problem) is QuboProblem
         assert QuboProblem(problem.q).q.tobytes() == problem.q.tobytes()
         ising = qubo_to_ising(problem)
+        # the same matrix without its grid takes the dense or CSR form
+        untagged = qubo_to_ising(QuboProblem(problem.q))
         # the converter's coupling as first written, -q / 2 with a zeroed
         # diagonal, in the form the rule picks for it
         j = dense_coupling(problem)
         validated = IsingProblem(j, ising.h, ising.offset)
-        assert coupling_arrays(validated.j) == coupling_arrays(ising.j)
-        assert validated.h.tobytes() == ising.h.tobytes()
-        assert validated.offset == ising.offset
-        want = csr_array(j) if issparse(ising.j) else j
-        assert coupling_arrays(ising.j) == coupling_arrays(want)
+        assert coupling_arrays(validated.j) == coupling_arrays(untagged.j)
+        assert validated.h.tobytes() == ising.h.tobytes() == untagged.h.tobytes()
+        assert validated.offset == ising.offset == untagged.offset
+        want = csr_array(j) if issparse(untagged.j) else j
+        assert coupling_arrays(untagged.j) == coupling_arrays(want)
+        if n_t * n_d > 362 and c > 0:
+            assert assignment_grid(ising.j) == (n_t, n_d, c * -0.5)
+        else:
+            assert coupling_arrays(ising.j) == coupling_arrays(untagged.j)
 
     @pytest.mark.parametrize("c", [np.inf, np.nan, -np.inf])
     def test_rejects_non_finite_weight(self, c):
@@ -606,15 +612,18 @@ class TestOneWeightAtATime:
         flexible_assign(np.array([[0.8], [0.7]]), solver)
         assert len(seen) == 2
 
-    # the 20 x 20 frame needs 3 repairs and parks one tracker; the 24 x 22 parks two
+    # the 20 x 20 frame needs 2 repairs and parks one tracker; the 24 x 22 parks two
     @pytest.mark.parametrize(
         "n_t,n_d,fill,seed", [(20, 20, 0.05, 1), (24, 22, 0.15, 2), (21, 26, 0.2, 3)]
     )
     def test_same_result_as_building_both_first(self, n_t, n_d, fill, seed):
         rng = np.random.default_rng(seed)
         s = sparse_iou_like(rng, n_t, n_d, fill)
-        # the frame is large enough for the solver's CSR coupling product
-        assert issparse(qubo_to_ising(build_assignment_qubo(s, DEFAULT_C_LARGE)[0]).j)
+        # the frame is large enough for the assignment coupling's product; the
+        # same matrix without its grid would take CSR
+        problem, _ = build_assignment_qubo(s, DEFAULT_C_LARGE)
+        assert assignment_grid(qubo_to_ising(problem).j) == (n_t, n_d, -0.5)
+        assert issparse(qubo_to_ising(QuboProblem(problem.q)).j)
         got = flexible_assign(s, sb_solver)
         want = both_built_first(s, sb_solver)
         assert np.array_equal(got.table_large, want.table_large)

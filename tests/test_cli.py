@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import issparse
 
 import flextrack
 from flextrack import track
@@ -29,9 +30,10 @@ from flextrack.cli import (
     read_mot_file,
     write_mot_file,
 )
-from flextrack.ising import BRUTE_FORCE_MAX_VARS, qubo_to_ising
+from flextrack.ising import BRUTE_FORCE_MAX_VARS, QuboProblem, qubo_to_ising
 from flextrack.sb import SbParams, solve_ising
 from flextrack.track import BoundingBox, TrackConfig
+from oracles import assignment_grid
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -918,9 +920,11 @@ _SOLVE_ASSIGNMENT = f"""
 import json, sys
 import numpy as np
 from flextrack.assign import build_assignment_qubo
-from flextrack.ising import qubo_to_ising
+from flextrack.ising import QuboProblem, qubo_to_ising
 from flextrack.sb import SbParams, solve_ising
 problem = build_assignment_qubo(np.load(sys.argv[1]), 1.0)[0]
+if sys.argv[3] == "matrix":
+    problem = QuboProblem(problem.q)
 assert "scipy.sparse" not in sys.modules
 p = qubo_to_ising(problem)
 print(json.dumps(solve_ising(p, SbParams(seed=3, restarts=int(sys.argv[2]), n_steps=80)).tolist()))
@@ -938,7 +942,8 @@ def scipy_modules_after(*args):
 
 
 class TestScipyLoadedOnDemand:
-    """Only ``track --baseline`` and solves above 362 spins import scipy.
+    """Only ``track --baseline`` and solves of sparse QUBOs above 362 spins
+    that are not built as assignment grids import scipy.
 
     pytest has imported scipy before any test runs, so a deferred import that
     went missing (a ``NameError`` on ``sparse``) shows only in a new process.
@@ -972,13 +977,47 @@ class TestScipyLoadedOnDemand:
 
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_assignment_above_362_spins_solves_on_csr(self, tmp_path, restarts):
+        # the assignment QUBO's matrix without its grid, as a file gives it
         rng = np.random.default_rng(20)
         s = np.where(rng.uniform(size=(20, 20)) < 0.1, rng.uniform(0.05, 0.95, (20, 20)), 0.0)
         path = str(tmp_path / "s.npy")
         np.save(path, s)
-        (spins,), loaded = scipy_modules_after("-c", _SOLVE_ASSIGNMENT, path, str(restarts))
+        (spins,), loaded = scipy_modules_after("-c", _SOLVE_ASSIGNMENT, path, str(restarts), "matrix")
         # the conversion imported scipy.sparse: the 400-spin coupling went to CSR
         assert "scipy.sparse" in loaded
-        p = qubo_to_ising(build_assignment_qubo(s, 1.0)[0])
+        p = qubo_to_ising(QuboProblem(build_assignment_qubo(s, 1.0)[0].q))
+        assert issparse(p.j)
         want = solve_ising(p, SbParams(seed=3, restarts=restarts, n_steps=80))
         assert json.loads(spins) == want.tolist()
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_assignment_grid_above_362_spins_loads_no_scipy(self, tmp_path, restarts):
+        rng = np.random.default_rng(20)
+        s = np.where(rng.uniform(size=(20, 20)) < 0.1, rng.uniform(0.05, 0.95, (20, 20)), 0.0)
+        path = str(tmp_path / "s.npy")
+        np.save(path, s)
+        (spins,), loaded = scipy_modules_after("-c", _SOLVE_ASSIGNMENT, path, str(restarts), "grid")
+        assert loaded == []
+        p = qubo_to_ising(build_assignment_qubo(s, 1.0)[0])
+        assert assignment_grid(p.j) == (20, 20, -0.5)
+        want = solve_ising(p, SbParams(seed=3, restarts=restarts, n_steps=80))
+        assert json.loads(spins) == want.tolist()
+
+    def test_crowd_track_loads_no_scipy_and_sparse_file_does(self, tmp_path):
+        # the scene's 43 assigned frames (all but the first of 44) are above 362 spins
+        prefix = str(tmp_path / "crowd")
+        assert main(["simulate", str(SCENARIOS / "crowd24_overtakes.txt"), "--seed", "1", "-o", prefix]) == 0
+        out = str(tmp_path / "res.txt")
+        _, loaded = scipy_modules_after("-c", _RUN_MAIN, "track", prefix + ".det.txt", "-o", out)
+        assert loaded == []
+        in_process = str(tmp_path / "in_process.txt")
+        assert main(["track", prefix + ".det.txt", "-o", in_process]) == 0
+        assert Path(out).read_bytes() == Path(in_process).read_bytes()
+        # the same kind of matrix read from a file has no grid: CSR, through scipy
+        q = build_assignment_qubo(np.random.default_rng(4).uniform(size=(20, 21)), 1.0)[0].q
+        i, j = np.triu_indices(420)
+        keep = q[i, j] != 0.0
+        lines = [f"{a} {b} {v!r}" for a, b, v in zip(i[keep].tolist(), j[keep].tolist(), q[i, j][keep].tolist())]
+        qubo = write(tmp_path / "assign420.txt", "\n".join(["420"] + lines) + "\n")
+        _, loaded = scipy_modules_after("-c", _RUN_MAIN, "solve-qubo", qubo)
+        assert "scipy.sparse" in loaded
