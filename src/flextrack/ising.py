@@ -36,8 +36,8 @@ by it, in one of three forms, and :func:`ising_energy` takes each of them:
   entries nonzero: the canonical ``scipy.sparse`` CSR array of the dense
   matrix, built from its nonzeros (scipy is imported only then). Sparse QUBO
   files and sparse couplings given to ``IsingProblem`` take it;
-- otherwise a dense array, C-ordered and 64-byte aligned (where ``malloc``
-  places a block changed the speed of the four-restart product, not its bits).
+- otherwise a dense array, C-ordered and 64-byte aligned (README "Solver
+  notes" has what the alignment changes: the product's speed, not its bits).
 
 :func:`read_qubo_file` reads the QUBO text format: it parses the count line
 once, then reads the entries in one ``np.loadtxt`` pass by name or, for every

@@ -26,7 +26,7 @@ per ``n_steps`` and kept (:func:`_schedule`, the last 8 lengths), and
 ``eta * h`` computed once per solve. It performs the floating-point
 operations of the step above in the order written, so with a dense coupling
 its spins are bit-identical to iterating a one-step reference (``sb_step`` in
-the tests).
+the tests) on the same coupling product.
 
 The loop stops early once the state is frozen at the wall: after two
 consecutive steps in which every spin of every restart row ended strictly
@@ -52,66 +52,57 @@ unchanged ``x`` is not yet a frozen state, and such a step does not count.
 And a large inward kick can take a spin from ``+1`` past ``-1`` in one step,
 over the wall both times; requiring the two clipped states to be equal rules
 that out. The argument needs a finite problem, which ``IsingProblem`` checks.
-Dense random QUBOs rarely freeze and pay for one count of the over-wall mask
-a step.
 
 Restarts are independent trajectories, so they are the rows of one
 ``(restarts, n)`` state and the loop steps them all at once. One draw of
 ``(restarts, n)`` momenta gives the numbers per-restart draws would give, in
-the same order. Each row then sees exactly the arithmetic it would see alone;
-only the coupling product needs care. It dominates a step at large ``n``
-(Goto, Tatsumura & Dixon, Sci. Adv. 5:eaav2372, 2019), so ``J`` comes in the
-form ``ising.qubo_to_ising`` or the ``IsingProblem`` constructor chose once
-(the ``ising`` docstring has the rule): the assignment coupling, CSR or
-dense. Before its loop each solve picks the cheapest entry that gives the
-bits of ``J @ x`` (:func:`_product`; README "Solver notes" has the timings):
+the same order, and every operation but the coupling product is elementwise.
+The product dominates a step at large ``n`` (Goto, Tatsumura & Dixon, Sci.
+Adv. 5:eaav2372, 2019). ``J`` comes in the form the ``ising`` module chose
+once (the assignment coupling, CSR or dense), and before its loop each solve
+picks the product's entry for that form (:func:`_product`):
 
-- the assignment coupling, one restart or several: its own product, into
-  buffers made for this solve. Several restarts come as ``(n, restarts)``
-  and are summed over ``(n_t, n_d, restarts)``, one sequential prefix sum per
-  axis, so each row gets the bits it gets alone;
-- one restart, dense ``J`` in C order, as both constructors store it:
-  ``J.dot(x)``, the same BLAS ``dgemv`` call as ``J @ x`` at less dispatch;
-- one restart, CSR ``J``: scipy's private ``_sparsetools.csr_matvec`` into a
-  fresh zeroed array, the kernel ``J @ x`` runs after its checks;
-- dense ``J``, several restarts: ``J`` against each row as a matrix-vector
-  product (``J @ x`` on an ``(restarts, n, 1)`` view), which BLAS computes
-  as it computes ``J @ x`` per row; ``x @ J`` and ``J @ x.T`` are
-  matrix-matrix products, and neither was bit-identical on 256 spins;
-- CSR ``J``, several restarts: ``J @ x.T``, scipy's multi-vector kernel,
-  which sums each row's products in the single-vector order.
+- the assignment coupling: its own product into buffers of this solve;
+  several restarts come as ``(n, restarts)`` columns and are summed by one
+  sequential prefix sum per axis of ``(n_t, n_d, restarts)``, so each row
+  gets the bits it gets alone;
+- dense ``J``, one restart: ``J.dot(x)`` in C order (as both constructors
+  store it), the ``dgemv`` call of ``J @ x`` at less dispatch;
+- dense ``J``, several restarts: one matrix-matrix product of the rows,
+  ``np.dot(x, J, out=...)`` into a buffer of this solve, with the bits of
+  ``x @ J`` in every layout. BLAS computes each output row from its own row
+  of ``x``, so the rows stay independent trajectories, but ``dgemm`` sums in
+  another order than ``dgemv``: a row differs in the last bits from the same
+  restart solved alone;
+- CSR ``J``: for one restart scipy's private ``_sparsetools.csr_matvec`` into
+  a fresh zeroed array, the kernel ``J @ x`` runs after its checks; for
+  several ``J @ x.T``, scipy's multi-vector kernel, which sums each row in
+  the single-vector order;
+- anything else, such as a wrapped coupling, or a dense ``J`` stored
+  unchecked in Fortran order or as a strided view with one restart:
+  ``coupling.__matmul__``, the method ``coupling @ x`` calls.
 
-Anything else, such as a wrapped coupling or a dense ``J`` stored unchecked
-in Fortran order or as a strided view, goes through ``coupling.__matmul__``,
-the method that ``coupling @ x`` calls.
-Besides the product, a step makes 8 NumPy arithmetic calls, 3 to find the
-spins over the wall, and 3 more to clip them when there are any. At 25 spins
-each call costs little more than NumPy's fixed cost, so the loop trims that:
+A step's operands are made once per solve (README "Solver notes" has what
+each saves): ``c0``, ``dt``, the wall's ``1``, ``-1`` and ``0`` and each
+step's detuning (once per ``n_steps``) as read-only 0-d float64 arrays, and
+two buffers that the kick, ``y * dt``, ``|x|`` and the over-wall mask are
+written into. ``c0`` is not folded into ``J``, nor ``dt`` into another term,
+because either rounds differently. The wall clips ``x`` in place with
+``np.minimum(x, 1)`` then ``np.maximum(x, -1)``, and ``np.putmask`` zeroes
+the momenta of the spins over. The clip changes exactly the spins over the
+wall (``|x| > 1`` is false for a NaN, which the clip leaves as it is), so it
+gives the bits of ``np.copysign(1, x, where=over)`` on every float, signed
+zeros and infinities included.
 
-- ``c0``, ``dt``, the wall's ``1``, ``-1`` and ``0``, and every step's detuning
-  are read-only 0-d float64 arrays, made once per solve (the detuning once per
-  ``n_steps``): under NumPy 2's rule for Python scalars (NEP 50) a
-  Python-float operand costs more per call. ``c0`` is not folded into ``J``,
-  nor ``dt`` into another term, because either rounds differently;
-- the kick, ``y * dt``, ``|x|`` and the over-wall mask are written (``out=``)
-  into two buffers made once per solve;
-- the wall clips ``x`` in place with ``np.minimum(x, 1)`` then
-  ``np.maximum(x, -1)``, and ``np.putmask`` zeroes the momenta of the spins
-  over. The clip changes exactly the spins over the wall (``|x| > 1`` is
-  false for a NaN, and the clip leaves a NaN as it is), so it gives the bits
-  of ``np.copysign(1, x, where=over)`` on every float, signed zeros and
-  infinities included.
-
-The loop and the restart scoring run under one ``np.errstate(all="ignore")``.
-The error state changes no arithmetic, only whether NumPy reports an error.
-The spins are digitized and scored row by row, and the earliest restart wins
-a tie. Each form of ``J`` sums a row in its own order, so trajectories and
-energies differ between the forms in the last bits. The assignment coupling
-sums by position along each row and column of the grid, as CSR sums a row.
-The exactly symmetric closed form ``row sum + column sum - 2 x`` is not
-used: it rounds every spin of a tied row alike (equal similarities, such as
-zero-IOU pairs), keeps those spins in step through the wall, and strict
-tables came out repair-free less often than with CSR (README "Solver notes").
+The loop and the restart scoring run under one ``np.errstate(all="ignore")``,
+which changes no arithmetic, only whether NumPy reports an error. The spins
+are digitized and scored row by row, and the earliest restart wins a tie.
+Each form of ``J`` sums a row in its own order, so trajectories and energies
+differ between the forms in the last bits. The assignment coupling sums by
+position along each row and column of the grid, as CSR sums a row; the
+exactly symmetric ``row sum + column sum - 2 x`` would round the spins of a
+tied row alike and keep them in step through the wall (README "Solver notes"
+has what that cost the strict tables).
 """
 
 from __future__ import annotations
@@ -187,10 +178,20 @@ def _schedule(n_steps: int) -> tuple[np.ndarray, ...]:
 
 
 def _product(coupling, x: np.ndarray):
-    """``coupling @ x`` as a one-argument call, through its cheapest entry that
-    gives the same bits (the module docstring lists the cases)."""
-    if x.ndim == 1 and type(coupling) is np.ndarray and coupling.flags.c_contiguous:
-        return coupling.dot
+    """The coupling product of the state ``x`` as a one-argument call: one row,
+    the rows of a dense ``J`` or the columns of any other form (the module
+    docstring lists the entries)."""
+    if type(coupling) is np.ndarray:
+        if x.ndim == 2:
+            # the rows of several restarts, one matrix-matrix product into a buffer
+            dot, out = np.dot, np.empty_like(x)
+
+            def dot_rows(x):
+                return dot(x, coupling, out=out)
+
+            return dot_rows
+        if coupling.flags.c_contiguous:
+            return coupling.dot
     if type(coupling) is _AssignmentCoupling:
         # one restart or several, into buffers that belong to this solve
         return coupling.product(x)
@@ -221,9 +222,7 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     energies overflow. The solve ignores floating-point errors, whatever the
     caller's NumPy error state, so it never warns or raises on overflow: an
     overflowing position is clipped at the wall, and a non-finite energy loses.
-
-    All trajectories are the rows of one state, stepped together by the fused
-    loop described in the module docstring, on ``p.j`` in the form it comes in.
+    The module docstring describes the loop that steps every restart at once.
     """
     rng = np.random.default_rng(params.seed)
     c0, dt, one, minus_one, zero = map(_constant, (params.c0, params.dt, 1.0, -1.0, 0.0))
@@ -231,13 +230,13 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     x_rows = np.zeros((params.restarts, p.n))
     y_rows = rng.uniform(-params.init_noise, params.init_noise, size=x_rows.shape)
     with np.errstate(all="ignore"):
-        # views of the rows shaped so that ``coupling @ x`` is the product the
-        # module docstring picks: one row, one gemv per row, or columns for a
-        # CSR multivector or the assignment coupling
+        # the state as the product the module docstring picks takes it: one
+        # row, the rows for a dense J, or columns for a CSR multivector or the
+        # assignment coupling
         if params.restarts == 1:
             x, y, eta_h = x_rows[0], y_rows[0], params.eta * p.h
         elif type(p.j) is np.ndarray:
-            x, y, eta_h = x_rows[:, :, None], y_rows[:, :, None], params.eta * p.h[:, None]
+            x, y, eta_h = x_rows, y_rows, params.eta * p.h
         else:
             x, y, eta_h = x_rows.T, y_rows.T, params.eta * p.h[:, None]
         product = _product(p.j, x)

@@ -230,7 +230,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # The Kalman products, here and in predict and update, are written
 # ``a.dot(b)``, not ``a @ b``: both reach the same BLAS call (gemv for a
 # vector, gemm for a matrix) and give the same bits, but ``dot`` skips the
-# matmul ufunc's dispatch (about 0.3 against 0.7 us on a 7-vector), as
+# matmul ufunc's dispatch (README "Tracker notes" has the cost), as
 # ``sb._product`` does for ``J.dot(x)``.
 def _predicted_cov(cov: np.ndarray) -> np.ndarray:
     predicted = _read_only(KF_F.dot(cov).dot(KF_F.T) + KF_Q)

@@ -54,17 +54,20 @@ class SbState:
 def sb_step(state: SbState, p: IsingProblem, params: SbParams, coupling=None) -> SbState:
     """Advance the oscillator network by one time step: ``solve_ising``'s one-step reference.
 
-    The coupling product is ``coupling @ x``, with ``p.j`` unless another
-    form of the couplings (such as a CSR copy) is given.
+    ``x`` holds one restart's positions, or several restarts' as the rows of
+    one state. The coupling product is ``coupling @ x`` on one restart and
+    the single matrix-matrix product ``x @ coupling`` on rows, with ``p.j``
+    unless another form of the couplings (such as a CSR copy) is given.
     """
-    if state.x.shape != (p.n,) or state.y.shape != (p.n,):
+    if state.x.shape[-1:] != (p.n,) or state.y.shape != state.x.shape:
         raise ValueError(
             f"state dimension {state.x.shape} does not match problem size {p.n}"
         )
     j = p.j if coupling is None else coupling
+    product = j @ state.x if state.x.ndim == 1 else state.x @ j
     pump = state.k / params.n_steps
     y = state.y + (
-        -(1.0 - pump) * state.x - params.eta * p.h + params.c0 * (j @ state.x)
+        -(1.0 - pump) * state.x - params.eta * p.h + params.c0 * product
     ) * params.dt
     x = state.x + y * params.dt
     over = np.abs(x) > 1.0
@@ -74,9 +77,20 @@ def sb_step(state: SbState, p: IsingProblem, params: SbParams, coupling=None) ->
     return SbState(x=x, y=y, k=state.k + 1, all_over=bool(over.all()))
 
 
-def initial_state(n: int, rng: np.random.Generator, init_noise: float) -> SbState:
+def initial_state(shape, rng: np.random.Generator, init_noise: float) -> SbState:
     """Zero positions with small uniform momentum noise to break symmetry."""
-    return SbState(x=np.zeros(n), y=rng.uniform(-init_noise, init_noise, size=n), k=0)
+    return SbState(x=np.zeros(shape), y=rng.uniform(-init_noise, init_noise, size=shape), k=0)
+
+
+def initial_states(p, params):
+    """The states the references step, with ``solve_ising``'s initial momenta:
+    one per restart, or, for a dense ``J`` with several restarts, one whose
+    rows are the restarts, stepped together through one product ``x @ J`` as
+    ``solve_ising`` steps them."""
+    rng = np.random.default_rng(params.seed)
+    if params.restarts > 1 and type(p.j) is np.ndarray:
+        return [initial_state((params.restarts, p.n), rng, params.init_noise)]
+    return [initial_state(p.n, rng, params.init_noise) for _ in range(params.restarts)]
 
 
 def sb_step_loop(p, params):
@@ -84,7 +98,8 @@ def sb_step_loop(p, params):
 
     The product is ``coupling @ x`` on the form the problem holds ``j`` in, so
     on a CSR coupling it is scipy's CSR product and on an assignment coupling
-    that coupling's own. It runs
+    that coupling's own; several restarts on a dense ``j`` step together as
+    rows (:func:`initial_states`). It runs
     all ``n_steps`` steps, so it is also the oracle of the fused loop's stop
     once the state is frozen at the wall.
 
@@ -93,20 +108,19 @@ def sb_step_loop(p, params):
     run: up to the first step at which every restart repeats the clipped state
     of the step before, both steps having taken every spin over the wall.
     """
-    rng = np.random.default_rng(params.seed)
     coupling = p.j
     best_spins, best_energy = None, np.inf
     positions, repeats = [], []
-    for _ in range(params.restarts):
-        state = initial_state(p.n, rng, params.init_noise)
+    for state in initial_states(p, params):
         repeated = []
         for _ in range(params.n_steps):
             after = sb_step(state, p, params, coupling)
             repeated.append(after.all_over and state.all_over and np.array_equal(after.x, state.x))
             state = after
         repeats.append(repeated)
-        positions.append(state.x)
-        spins = np.where(state.x >= 0.0, 1, -1)
+        positions.extend(np.atleast_2d(state.x))
+    for x in positions:
+        spins = np.where(x >= 0.0, 1, -1)
         energy = ising_energy(p, spins)
         if energy < best_energy and np.isfinite(energy):
             best_spins, best_energy = spins, energy
@@ -137,6 +151,8 @@ def fused_loop(p, params):
 def per_restart_loop(p, params):
     """The fused loop run once per restart, as ``solve_ising`` ran before its
     restarts became rows of one state: the stacked loop's oracle on any product.
+    Several restarts on a dense ``j`` are the exception: they step together as
+    rows through one product ``x @ j`` (:func:`initial_states`).
 
     It runs all ``n_steps`` steps, so it is also the oracle of the fused loop's
     stop once the state is frozen at the wall.
@@ -144,18 +160,16 @@ def per_restart_loop(p, params):
     Returns the spins (``None`` if no restart's energy is finite) and the final
     positions of every restart.
     """
-    rng = np.random.default_rng(params.seed)
     c0, dt = params.c0, params.dt
     coupling = p.j
     detuning = [-(1.0 - k / params.n_steps) for k in range(params.n_steps)]
     eta_h = params.eta * p.h
     best_spins, best_energy = None, np.inf
     positions = []
-    for _ in range(params.restarts):
-        state = initial_state(p.n, rng, params.init_noise)
+    for state in initial_states(p, params):
         x, y = state.x, state.y
         for neg_detune in detuning:
-            force = coupling @ x
+            force = coupling @ x if x.ndim == 1 else x @ coupling
             force *= c0
             kick = neg_detune * x
             kick -= eta_h
@@ -166,7 +180,8 @@ def per_restart_loop(p, params):
             over = np.abs(x) > 1.0
             np.copysign(1.0, x, out=x, where=over)
             y[over] = 0.0
-        positions.append(x)
+        positions.extend(np.atleast_2d(x))
+    for x in positions:
         spins = sb._digitize(x)
         energy = ising_energy(p, spins)
         if energy < best_energy and np.isfinite(energy):
@@ -440,6 +455,8 @@ class TestFusedLoop:
             # short runs end with positions off the wall, where rounding shows
             (12, SbParams(seed=4, c0=0.5, eta=1.3, dt=0.35, n_steps=30)),
             (30, SbParams(seed=7, restarts=2, n_steps=20)),
+            # three rows of 256 spins, an odd row count, through one product
+            (256, SbParams(seed=3, restarts=3, n_steps=20)),
         ],
     )
     def test_bit_identical_to_sb_step_loop(self, n, params):
@@ -455,7 +472,9 @@ class TestFusedLoop:
 
 
 class TestStackedRestarts:
-    """Restarts run as the rows of one state, bit for bit as when run one by one."""
+    """Restarts run as the rows of one state, bit for bit as when run one by one
+    on CSR and the assignment coupling, and as rows stepped together through
+    one product ``x @ J`` on a dense ``J``."""
 
     @pytest.mark.parametrize("m,restarts", [(20, 3), (24, 4), (28, 3)])
     def test_csr_rows_bit_identical_to_per_restart_loop(self, m, restarts):
@@ -564,7 +583,7 @@ class TestFloatRange:
     def test_wall_clip_is_copysign_on_special_floats(self, layout):
         # the loop's wall (clip by minimum and maximum, zero momenta by putmask)
         # against the sign copy onto the spins over the wall, on each layout
-        # the loop steps: one row, dense rows as (restarts, n, 1), CSR rows transposed
+        # the loop steps: one row, dense rows stacked, CSR rows transposed
         nan_bits = np.array([0x7FF8000000000123, 0xFFF8000000000000], dtype=np.uint64)
         big = np.nextafter(1.0, 2.0)
         values = np.r_[-0.0, 0.0, 1.0, -1.0, big, -big, 1e308, -1e308, np.inf, -np.inf,
@@ -574,7 +593,7 @@ class TestFloatRange:
             if layout == "row":
                 return v.copy()
             if layout == "stacked":
-                return np.stack([v, v[::-1]])[:, :, None]
+                return np.stack([v, v[::-1]])
             return np.stack([v, v[::-1]]).T
 
         x, y = laid_out(values), laid_out(np.arange(1.0, values.size + 1))
@@ -621,9 +640,9 @@ def entry_solve(p, params):
     the name of the product entry it chose, with that entry left in place.
 
     The entries are ``assignment_product`` (an assignment coupling), ``dot``
-    (a C-ordered dense ``J``, one restart), ``csr_matvec`` (a CSR ``J``, one
-    restart) and ``__matmul__`` (what the ``@`` operator calls, for everything
-    else).
+    (a C-ordered dense ``J``, one restart), ``dot_rows`` (a dense ``J``, several
+    restarts), ``csr_matvec`` (a CSR ``J``, one restart) and ``__matmul__``
+    (what the ``@`` operator calls, for everything else).
     """
     names, steps = [], []
     choose = sb._product
@@ -737,10 +756,11 @@ class TestFrozenStop:
 
 
 class TestProductEntries:
-    """``solve_ising`` calls the coupling product through its cheapest entry that
-    gives the bits of ``coupling @ x``: the assignment coupling's own product
-    into the solve's buffers; ``J.dot`` for a C-ordered dense ``J`` and scipy's
-    CSR kernel for a CSR ``J``, with one restart; ``@`` otherwise."""
+    """``solve_ising`` calls the coupling product through its cheapest entry:
+    the assignment coupling's own product into the solve's buffers; ``J.dot``
+    for a C-ordered dense ``J`` and scipy's CSR kernel for a CSR ``J``, with one
+    restart; one matrix-matrix product into the solve's buffer for the rows of
+    several restarts on a dense ``J``; ``@`` otherwise."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -776,14 +796,16 @@ class TestProductEntries:
         want_spins, want_positions, want_steps = sb_step_loop(p, params)
         assert_same_run((spins, positions), (want_spins, want_positions))
         assert steps == want_steps
-        # an unchecked Fortran-ordered or strided dense J takes the fallback
-        # (a 1 x 1 array is C-contiguous in every layout)
+        # with one restart, an unchecked Fortran-ordered or strided dense J
+        # takes the fallback (a 1 x 1 array is C-contiguous in every layout)
         if large and form == "assignment":
             assert entry == "assignment_product"
-        elif restarts > 1 or (layout != "C" and not large and p.n > 1):
-            assert entry == "__matmul__"
+        elif large:
+            assert entry == ("csr_matvec" if restarts == 1 else "__matmul__")
+        elif restarts > 1:
+            assert entry == "dot_rows"
         else:
-            assert entry == ("csr_matvec" if large else "dot")
+            assert entry == ("dot" if layout == "C" or p.n == 1 else "__matmul__")
         if restarts == 1:
             # a wrapped coupling (as the stop tests count with) takes the
             # __matmul__ entry and still sees every product
@@ -820,6 +842,41 @@ class TestProductEntries:
             product = sb._product(p.j, x)
             assert product.__name__ == ("dot" if layout == "C" else "__matmul__")
             assert product(x).tobytes() == (p.j @ x).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 400), rows=st.integers(2, 8), seed=st.integers(0, 2**16))
+    @example(n=256, rows=4, seed=0)
+    @example(n=256, rows=3, seed=0)
+    @example(n=400, rows=8, seed=0)
+    @example(n=1, rows=2, seed=0)
+    def test_dense_rows_stay_independent_trajectories(self, n, rows, seed):
+        # the rows of several restarts on a C-ordered dense J take one
+        # matrix-matrix product: the bits of x @ J, where each row's bits
+        # depend on that row alone, and where a zero position against an
+        # infinite coupling gives NaN as the one-row product J @ x does
+        rng = np.random.default_rng(seed)
+        j = random_problem(n, seed).j
+        assert j.flags.c_contiguous
+        x = rng.uniform(-1.5, 1.5, (rows, n))
+        x[rng.uniform(size=x.shape) < 0.3] = rng.choice((-1.0, 1.0))
+        product = sb._product(j, x)
+        assert product.__name__ == "dot_rows"
+        got = product(x).copy()
+        assert got.tobytes() == (x @ j).tobytes()
+        specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 1e308])
+        with np.errstate(all="ignore"):
+            for i in range(rows):
+                others = rng.uniform(-1.5, 1.5, x.shape)
+                others[rng.uniform(size=x.shape) < 0.2] = rng.choice(specials)
+                others[i] = x[i]
+                assert product(others)[i].tobytes() == got[i].tobytes()
+            k, m = rng.integers(n, size=2)
+            j[k, m] = j[m, k] = np.inf
+            x[:, k] = 0.0
+            stepped = sb._product(j, x)(x)
+            one_by_one = np.stack([j @ row for row in x])
+        assert np.isnan(stepped[:, m]).all()
+        assert np.array_equal(np.isnan(stepped), np.isnan(one_by_one))
 
     def test_schedule_is_built_once_per_length(self):
         assert sb._schedule(400) is sb._schedule(400)
