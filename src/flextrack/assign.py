@@ -214,7 +214,11 @@ def _solve_at(s: np.ndarray, c: float, solver) -> tuple[np.ndarray, float]:
     caller builds the next weight's.
     """
     problem, _ = build_assignment_qubo(s, c)
-    bits = np.asarray(solver(problem)).astype(np.int64)
+    bits = np.asarray(solver(problem))
+    # checked before the cast, which would truncate 0.7 to 0 and 1.9 to 1
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("solver output entries must be 0 or 1")
+    bits = bits.astype(np.int64)
     return bits, qubo_energy(problem, bits)
 
 
@@ -230,9 +234,10 @@ def flexible_assign(
     The weights are built, solved and scored in turn, the large one first,
     and each dense QUBO is freed before the next is built, so a frame holds
     one of them at a time. ``solver`` maps a :class:`QuboProblem` to a flat
-    bit vector; inject the simulated-bifurcation solver for production or the
-    brute-force oracle for tests. Matches with similarity below ``s_min`` are
-    demoted to UNMATCH after arbitration (``s_min = -inf`` disables gating).
+    bit vector, and an entry other than 0 or 1 raises ``ValueError``; inject
+    the simulated-bifurcation solver for production or the brute-force
+    oracle for tests. Matches with similarity below ``s_min`` are demoted to
+    UNMATCH after arbitration (``s_min = -inf`` disables gating).
     """
     s = _validate_similarity(s)
     if not c_small < c_large:

@@ -240,15 +240,16 @@ class _AssignmentCoupling:
         self.half.flags.writeable = False
 
     def product(self, x: np.ndarray):
-        """``self @ x`` as a one-argument call on arrays shaped like ``x``, ``(n,)``
-        or ``(n, restarts)``: each call overwrites and returns one buffer."""
+        """``self @ x`` as a one-argument call on arrays shaped like ``x``, one
+        row ``(n,)`` or the rows ``(restarts, n)``: each call overwrites and
+        returns one buffer."""
         n_t, n_d = self.grid
-        tail = x.shape[1:]
-        grid = self.grid + tail
+        lead = x.shape[:-1]
+        grid = lead + self.grid
         # prefix sums along each axis after a zero: exclusive, inclusive, total
-        rows, cols = np.zeros((n_t, n_d + 1) + tail), np.zeros((n_t + 1, n_d) + tail)
-        row_ex, row_in, row_total = rows[:, :-1], rows[:, 1:], rows[:, -1:]
-        col_ex, col_in, col_total = cols[:-1], cols[1:], cols[-1:]
+        rows, cols = np.zeros(lead + (n_t, n_d + 1)), np.zeros(lead + (n_t + 1, n_d))
+        row_ex, row_in, row_total = rows[..., :-1], rows[..., 1:], rows[..., -1:]
+        col_ex, col_in, col_total = cols[..., :-1, :], cols[..., 1:, :], cols[..., -1:, :]
         out, col = np.empty(grid), np.empty(grid)
         result = out.reshape(x.shape)
         half, add, subtract, multiply = self.half, np.add, np.subtract, np.multiply
@@ -257,8 +258,8 @@ class _AssignmentCoupling:
 
         def assignment_product(x):
             g = first_grid if x is first else x.reshape(grid)
-            accumulate(g, axis=1, out=row_in)
-            accumulate(g, axis=0, out=col_in)
+            accumulate(g, axis=-1, out=row_in)
+            accumulate(g, axis=-2, out=col_in)
             subtract(row_total, row_in, out=out)
             add(out, row_ex, out=out)
             subtract(col_total, col_in, out=col)
@@ -271,6 +272,10 @@ class _AssignmentCoupling:
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 2:
+            # NumPy's rule for a matrix operand: the product of each column
+            rows = np.ascontiguousarray(x.T)
+            return self.product(rows)(rows).T
         return self.product(x)(x)
 
 

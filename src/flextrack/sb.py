@@ -54,18 +54,18 @@ over the wall both times; requiring the two clipped states to be equal rules
 that out. The argument needs a finite problem, which ``IsingProblem`` checks.
 
 Restarts are independent trajectories, so they are the rows of one
-``(restarts, n)`` state and the loop steps them all at once. One draw of
-``(restarts, n)`` momenta gives the numbers per-restart draws would give, in
-the same order, and every operation but the coupling product is elementwise.
-The product dominates a step at large ``n`` (Goto, Tatsumura & Dixon, Sci.
-Adv. 5:eaav2372, 2019). ``J`` comes in the form the ``ising`` module chose
-once (the assignment coupling, CSR or dense), and before its loop each solve
-picks the product's entry for that form (:func:`_product`):
+``(restarts, n)`` state and the loop steps them all at once; one restart is
+one ``(n,)`` row. One draw of ``(restarts, n)`` momenta gives the numbers
+per-restart draws would give, in the same order, and every operation but the
+coupling product is elementwise. The product dominates a step at large ``n``
+(Goto, Tatsumura & Dixon, Sci. Adv. 5:eaav2372, 2019). ``J`` comes in the
+form the ``ising`` module chose once (the assignment coupling, CSR or
+dense), and before its loop each solve picks the product's entry for that
+form (:func:`_product`):
 
-- the assignment coupling: its own product into buffers of this solve;
-  several restarts come as ``(n, restarts)`` columns and are summed by one
-  sequential prefix sum per axis of ``(n_t, n_d, restarts)``, so each row
-  gets the bits it gets alone;
+- the assignment coupling: its own product into buffers of this solve, one
+  sequential prefix sum along each axis of the ``(n_t, n_d)`` grid of every
+  row, so each row gets the bits it gets alone;
 - dense ``J``, one restart: ``J.dot(x)`` in C order (as both constructors
   store it), the ``dgemv`` call of ``J @ x`` at less dispatch;
 - dense ``J``, several restarts: one matrix-matrix product of the rows,
@@ -74,13 +74,12 @@ picks the product's entry for that form (:func:`_product`):
   of ``x``, so the rows stay independent trajectories, but ``dgemm`` sums in
   another order than ``dgemv``: a row differs in the last bits from the same
   restart solved alone;
-- CSR ``J``: for one restart scipy's private ``_sparsetools.csr_matvec`` into
-  a fresh zeroed array, the kernel ``J @ x`` runs after its checks; for
-  several ``J @ x.T``, scipy's multi-vector kernel, which sums each row in
-  the single-vector order;
-- anything else, such as a wrapped coupling, or a dense ``J`` stored
-  unchecked in Fortran order or as a strided view with one restart:
-  ``coupling.__matmul__``, the method ``coupling @ x`` calls.
+- anything else, such as CSR, a wrapped coupling, or a dense ``J`` stored
+  unchecked in Fortran order or as a strided view with one restart: the
+  public operators, ``J @ x`` (``coupling.__matmul__``) on one row and
+  ``x @ J`` (``coupling.__rmatmul__``) on rows. ``J`` is symmetric, and scipy
+  sums each output of ``x @ J`` in the order it sums that row of ``J @ x``,
+  so a CSR row too gets the bits it gets alone.
 
 A step's operands are made once per solve (README "Solver notes" has what
 each saves): ``c0``, ``dt``, the wall's ``1``, ``-1`` and ``0`` and each
@@ -178,38 +177,24 @@ def _schedule(n_steps: int) -> tuple[np.ndarray, ...]:
 
 
 def _product(coupling, x: np.ndarray):
-    """The coupling product of the state ``x`` as a one-argument call: one row,
-    the rows of a dense ``J`` or the columns of any other form (the module
-    docstring lists the entries)."""
-    if type(coupling) is np.ndarray:
-        if x.ndim == 2:
-            # the rows of several restarts, one matrix-matrix product into a buffer
-            dot, out = np.dot, np.empty_like(x)
-
-            def dot_rows(x):
-                return dot(x, coupling, out=out)
-
-            return dot_rows
-        if coupling.flags.c_contiguous:
-            return coupling.dot
+    """The coupling product of the state ``x``, one row or the rows of several
+    restarts, as a one-argument call (the module docstring lists the entries)."""
     if type(coupling) is _AssignmentCoupling:
         # one restart or several, into buffers that belong to this solve
         return coupling.product(x)
-    if x.ndim == 1 and getattr(coupling, "format", None) == "csr" and coupling.dtype == x.dtype:
-        # the kernel csr_array.__matmul__ runs for one vector, without its checks
-        from scipy.sparse import _sparsetools
+    if x.ndim == 1:
+        if type(coupling) is np.ndarray and coupling.flags.c_contiguous:
+            return coupling.dot
+        return coupling.__matmul__
+    if type(coupling) is np.ndarray:
+        # the rows of several restarts, one matrix-matrix product into a buffer
+        dot, out = np.dot, np.empty_like(x)
 
-        matvec = _sparsetools.csr_matvec
-        rows, cols = coupling.shape
-        indptr, indices, data = coupling.indptr, coupling.indices, coupling.data
+        def dot_rows(x):
+            return dot(x, coupling, out=out)
 
-        def csr_matvec(x):
-            out = np.zeros(rows)
-            matvec(rows, cols, indptr, indices, data, x, out)
-            return out
-
-        return csr_matvec
-    return coupling.__matmul__
+        return dot_rows
+    return coupling.__rmatmul__
 
 
 def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
@@ -229,16 +214,10 @@ def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:
     # one draw gives every restart's momenta in the order per-restart draws would
     x_rows = np.zeros((params.restarts, p.n))
     y_rows = rng.uniform(-params.init_noise, params.init_noise, size=x_rows.shape)
+    # one restart steps as one row, several as the rows of one state
+    x, y = (x_rows[0], y_rows[0]) if params.restarts == 1 else (x_rows, y_rows)
     with np.errstate(all="ignore"):
-        # the state as the product the module docstring picks takes it: one
-        # row, the rows for a dense J, or columns for a CSR multivector or the
-        # assignment coupling
-        if params.restarts == 1:
-            x, y, eta_h = x_rows[0], y_rows[0], params.eta * p.h
-        elif type(p.j) is np.ndarray:
-            x, y, eta_h = x_rows, y_rows, params.eta * p.h
-        else:
-            x, y, eta_h = x_rows.T, y_rows.T, params.eta * p.h[:, None]
+        eta_h = params.eta * p.h
         product = _product(p.j, x)
         # each step's temporaries: the kick, then y * dt and |x| in its place; the mask
         kick, over = np.empty_like(x), np.empty_like(x, dtype=bool)

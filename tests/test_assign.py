@@ -520,6 +520,23 @@ class TestFlexibleAssign:
         assert result.decisions[0].state is TrackerState.MATCH
         assert result.decisions[1].state is TrackerState.POTENTIAL_MATCH
 
+    @pytest.mark.parametrize("weight", ["large", "small"])
+    @pytest.mark.parametrize(
+        "output", [[0.7] * 4, [1.9, 0, 0, 1.2], [1, 0, 0, np.nan], [2, 0, 0, 1], [1, 0, 0, -1]]
+    )
+    def test_rejects_solver_output_that_is_not_bits(self, weight, output):
+        # a cast to integers would read 0.7 as 0 and 1.9 as 1, and NaN as anything
+        calls = []
+
+        def solver(problem):
+            calls.append(None)
+            bad = (len(calls) == 1) == (weight == "large")
+            return np.array(output) if bad else np.eye(2).ravel()
+
+        with pytest.raises(ValueError, match="^solver output entries must be 0 or 1$"):
+            flexible_assign(np.array([[0.8, 0.1], [0.2, 0.7]]), solver)
+        assert len(calls) == (1 if weight == "large" else 2)
+
     def test_gating_demotes_weak_match(self):
         result = flexible_assign(np.array([[0.05]]), brute_solver, s_min=0.1)
         assert result.decisions[0].state is TrackerState.UNMATCH

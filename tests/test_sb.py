@@ -582,8 +582,8 @@ class TestFloatRange:
     @pytest.mark.parametrize("layout", ["row", "stacked", "transposed"])
     def test_wall_clip_is_copysign_on_special_floats(self, layout):
         # the loop's wall (clip by minimum and maximum, zero momenta by putmask)
-        # against the sign copy onto the spins over the wall, on each layout
-        # the loop steps: one row, dense rows stacked, CSR rows transposed
+        # against the sign copy onto the spins over the wall, on the layouts
+        # the loop steps, one row and stacked rows, and on transposed rows
         nan_bits = np.array([0x7FF8000000000123, 0xFFF8000000000000], dtype=np.uint64)
         big = np.nextafter(1.0, 2.0)
         values = np.r_[-0.0, 0.0, 1.0, -1.0, big, -big, 1e308, -1e308, np.inf, -np.inf,
@@ -641,13 +641,17 @@ def entry_solve(p, params):
 
     The entries are ``assignment_product`` (an assignment coupling), ``dot``
     (a C-ordered dense ``J``, one restart), ``dot_rows`` (a dense ``J``, several
-    restarts), ``csr_matvec`` (a CSR ``J``, one restart) and ``__matmul__``
-    (what the ``@`` operator calls, for everything else).
+    restarts), and for everything else what ``J @ x`` calls on one restart,
+    ``__matmul__``, and what ``x @ J`` calls on several, ``__rmatmul__``. Every
+    form must get one C-contiguous state: ``(n,)`` for one restart, else
+    ``(restarts, n)`` rows.
     """
     names, steps = [], []
     choose = sb._product
+    shape = (p.n,) if params.restarts == 1 else (params.restarts, p.n)
 
     def counting(coupling, x):
+        assert x.shape == shape and x.flags.c_contiguous
         product = choose(coupling, x)
         names.append(product.__name__)
 
@@ -758,9 +762,9 @@ class TestFrozenStop:
 class TestProductEntries:
     """``solve_ising`` calls the coupling product through its cheapest entry:
     the assignment coupling's own product into the solve's buffers; ``J.dot``
-    for a C-ordered dense ``J`` and scipy's CSR kernel for a CSR ``J``, with one
-    restart; one matrix-matrix product into the solve's buffer for the rows of
-    several restarts on a dense ``J``; ``@`` otherwise."""
+    for a C-ordered dense ``J`` with one restart; one matrix-matrix product into
+    the solve's buffer for the rows of several restarts on a dense ``J``;
+    otherwise the public operators, ``J @ x`` on one row and ``x @ J`` on rows."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -800,10 +804,10 @@ class TestProductEntries:
         # takes the fallback (a 1 x 1 array is C-contiguous in every layout)
         if large and form == "assignment":
             assert entry == "assignment_product"
-        elif large:
-            assert entry == ("csr_matvec" if restarts == 1 else "__matmul__")
         elif restarts > 1:
-            assert entry == "dot_rows"
+            assert entry == ("__rmatmul__" if large else "dot_rows")
+        elif large:
+            assert entry == "__matmul__"
         else:
             assert entry == ("dot" if layout == "C" or p.n == 1 else "__matmul__")
         if restarts == 1:
@@ -811,27 +815,6 @@ class TestProductEntries:
             # __matmul__ entry and still sees every product
             counted_spins, counted_steps = counted_solve(p, params)
             assert np.array_equal(counted_spins, spins) and counted_steps == steps
-
-    @pytest.mark.parametrize("make", ["assignment", "sparse_rows", "scipy_conversion"])
-    def test_csr_kernel_is_scipys_product_bit_for_bit(self, make):
-        # the private scipy kernel must give what csr_array @ x gives, so a
-        # change to scipy's private entry fails here first
-        if make == "assignment":
-            # the assignment matrix without its grid
-            csr = ising_in_form(build_assignment_qubo(sparse_similarity(24, 0.1, 24), 1.0)[0], "csr").j
-        else:
-            # 400 spins with 300 coupled pairs: about a fifth of the rows are empty
-            j = symmetric_with_nonzeros(400, 300, seed=4)
-            csr = sparse.csr_array(j) if make == "scipy_conversion" else IsingProblem(j, np.zeros(400)).j
-        assert sparse.issparse(csr)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            x = rng.uniform(-1.5, 1.5, csr.shape[0])
-            x[rng.uniform(size=x.size) < 0.3] = rng.choice((-1.0, 1.0))
-            product = sb._product(csr, x)
-            assert product.__name__ == "csr_matvec"
-            got, want = product(x), csr @ x
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_dense_dot_is_matmul_bit_for_bit(self, layout):
@@ -1077,6 +1060,19 @@ class TestAssignmentCoupling:
         assert assignment_grid(p.j) == (n_t, n_d, c * -0.5)
         params = SbParams(seed=seed, restarts=restarts, n_steps=60)
         assert_same_run(fused_loop(p, params), per_restart_loop(p, params))
+
+    @pytest.mark.parametrize("n_t,n_d,k", [(3, 4, 2), (4, 3, 1), (1, 5, 3), (20, 21, 4)])
+    def test_matmul_on_a_matrix_multiplies_its_columns(self, n_t, n_d, k):
+        # NumPy's rule for a 2-D operand: coupling @ X holds coupling @ X[:, i]
+        # in column i, bit for bit, on positions with zeros and both walls
+        rng = np.random.default_rng(n_t * n_d + k)
+        coupling = ising._AssignmentCoupling(n_t, n_d, 1.0)
+        x = rng.uniform(-1.5, 1.5, (n_t * n_d, k))
+        x[rng.uniform(size=x.shape) < 0.3] = rng.choice((-1.0, 0.0, 1.0))
+        got = coupling @ x
+        assert got.shape == x.shape
+        for i in range(k):
+            assert got[:, i].tobytes() == (coupling @ x[:, i]).tobytes()
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
