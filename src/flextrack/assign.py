@@ -95,6 +95,13 @@ def _validate_table(b) -> np.ndarray:
     return b.astype(np.int64)
 
 
+def _validate_s_min(s_min: float) -> None:
+    # -inf turns the gate off; +inf would gate every match out, and nan
+    # compares false with every similarity
+    if not s_min < np.inf:
+        raise ValueError(f"s_min must be below inf and not nan, got {s_min}")
+
+
 def build_assignment_qubo(s, c: float) -> tuple[QuboProblem, float]:
     """Build the assignment QUBO for penalty weight ``c``.
 
@@ -161,6 +168,8 @@ def repair_table(table, s) -> tuple[np.ndarray, int]:
     """
     table = _validate_table(table)
     s = _validate_similarity(s)
+    if s.shape != table.shape:
+        raise ValueError(f"similarity matrix shape {s.shape} does not match table shape {table.shape}")
     n_t, n_d = table.shape
     # the masked argmax of a column is its most similar set bit, the lowest
     # index on ties; a column without one points at a 0 it copies as 0
@@ -240,6 +249,7 @@ def flexible_assign(
     UNMATCH after arbitration (``s_min = -inf`` disables gating).
     """
     s = _validate_similarity(s)
+    _validate_s_min(s_min)
     if not c_small < c_large:
         raise ValueError(f"need c_small < c_large, got {c_small} >= {c_large}")
     n_t, n_d = s.shape
@@ -266,6 +276,7 @@ def hungarian_assign(s, s_min: float = DEFAULT_S_MIN) -> AssignmentResult:
     the Hungarian table (above the gate) are MATCH, everything else UNMATCH.
     """
     s = _validate_similarity(s)
+    _validate_s_min(s_min)
     table = hungarian(s)
     zeros = np.zeros_like(table)
     decisions, unmatched = _arbitrate(table, zeros, s, s_min)

@@ -24,20 +24,20 @@ wraps them.
 
 The coupling's form is decided here, once: :func:`qubo_to_ising` and the
 validating ``IsingProblem`` constructor store ``j`` as the SB solver multiplies
-by it, in one of three forms, and :func:`ising_energy` takes each of them:
+by it, and :func:`ising_energy` takes both of its forms:
 
 - the assignment coupling. ``build_assignment_qubo`` records its grid
   ``(n_t, n_d, c)`` on the problem it returns, and above 2**17 entries
-  (``n > 362``) with ``c > 0``, :func:`qubo_to_ising` stores ``j`` in closed
-  form: ``-c/2`` between two pairs that share a tracker or a detection, zero
-  elsewhere. Its product costs O(n), from prefix sums along each axis of the
-  grid (:class:`_AssignmentCoupling`), with no ``n x n`` array and no scipy;
-- a CSR array, above 2**17 entries with at most one in eight off-diagonal
-  entries nonzero: the canonical ``scipy.sparse`` CSR array of the dense
-  matrix, built from its nonzeros (scipy is imported only then). Sparse QUBO
-  files and sparse couplings given to ``IsingProblem`` take it;
-- otherwise a dense array, C-ordered and 64-byte aligned (README "Solver
-  notes" has what the alignment changes: the product's speed, not its bits).
+  (``n > 362``), :func:`qubo_to_ising` stores ``j`` in closed form: ``-c/2``
+  between two pairs that share a tracker or a detection, zero elsewhere (at
+  ``c = 0`` every entry of its product is a signed zero). Its product costs
+  O(n), from prefix sums along each axis of the grid
+  (:class:`_AssignmentCoupling`), with no ``n x n`` array;
+- every other coupling, and every one ``IsingProblem`` is given, as a dense
+  array, C-ordered and 64-byte aligned (README "Solver notes" has what the
+  alignment changes: the product's speed, not its bits). SB is defined on a
+  dense all-to-all coupling, and :func:`read_qubo_file` gives a dense
+  ``n x n`` matrix anyway.
 
 :func:`read_qubo_file` reads the QUBO text format: it parses the count line
 once, then reads the entries in one ``np.loadtxt`` pass by name or, for every
@@ -60,9 +60,8 @@ import numpy as np
 
 BRUTE_FORCE_MAX_VARS = 24
 _ENUM_CHUNK = 1 << 18
-# the coupling's form rule (module docstring)
+# assignment QUBOs above this many entries take the closed-form coupling
 _DENSE_MAX_ENTRIES = 1 << 17
-_CSR_MAX_FILL = 8
 
 
 @dataclass(frozen=True)
@@ -115,8 +114,8 @@ class IsingProblem:
 
     ``offset`` is not part of the Ising energy itself; it records the constant
     dropped by a QUBO conversion so callers can compare energies across the two
-    encodings. The constructor takes a dense ``j`` and stores the solver's
-    form of it (module docstring).
+    encodings. The constructor takes a dense ``j`` and stores it dense, as
+    the solver multiplies by it (module docstring).
     """
 
     j: np.ndarray
@@ -170,11 +169,8 @@ def ising_energy(p: IsingProblem, spins) -> float:
     The problem's ``offset`` is not added; add it explicitly when comparing
     against QUBO energies.
 
-    A CSR or assignment ``j`` multiplies ``-0.5 * s`` from the right, through
-    ``@``: scipy's CSR product from the left goes through the transpose and
-    is slower. ``j`` is symmetric, and scipy sums each row of ``j @ v`` in the
-    order it sums that column of ``v @ j``, so the energy keeps its bits, to
-    the ends of the float range.
+    An assignment ``j`` defines only ``j @ v``, so it multiplies ``-0.5 * s``
+    from the right.
     """
     s = np.asarray(spins, dtype=np.float64)
     if s.shape != (p.n,):
@@ -201,7 +197,7 @@ def qubo_to_ising(p: QuboProblem) -> IsingProblem:
     holds exactly for every bit vector.
 
     ``j`` comes in the solver's form: the assignment coupling for a large
-    assignment QUBO, else dense or CSR (module docstring).
+    assignment QUBO, else dense (module docstring).
 
     Raises ``ValueError`` when ``h`` or ``offset`` overflows, as sums of a
     finite ``q`` can.
@@ -213,7 +209,7 @@ def qubo_to_ising(p: QuboProblem) -> IsingProblem:
     if not (np.isfinite(h).all() and np.isfinite(offset)):
         raise ValueError("QUBO overflows in its Ising form: a row sum or the offset is not finite")
     grid = p._assignment
-    if grid is not None and grid[2] > 0 and q.size > _DENSE_MAX_ENTRIES:
+    if grid is not None and q.size > _DENSE_MAX_ENTRIES:
         return IsingProblem._from_symmetric(_AssignmentCoupling(*grid), h, offset)
     # a product with -0.5 rounds exactly as -q / 2 does; j is symmetric because
     # q is, has a zero diagonal, and halving a finite q keeps it finite
@@ -279,41 +275,16 @@ class _AssignmentCoupling:
         return self.product(x)(x)
 
 
-def _coupling(m: np.ndarray, scale: float):
-    """``m * scale`` with a zero diagonal, in the solver's form (module docstring).
-    A mask of ``m``'s off-diagonal nonzeros gives the fill test and the CSR
-    positions; it overcounts only entries that scale to zero, so a matrix that
-    fails the test is counted again once built dense."""
+def _coupling(m: np.ndarray, scale: float) -> np.ndarray:
+    """``m * scale`` with a zero diagonal, in one pass into a C-ordered buffer
+    whose data starts on a 64-byte boundary."""
     n = m.shape[0]
-    if n * n > _DENSE_MAX_ENTRIES:
-        nonzero = m != 0.0
-        np.fill_diagonal(nonzero, False)
-        if _CSR_MAX_FILL * np.count_nonzero(nonzero) <= n * n:
-            return _csr(m, nonzero, scale)
-    # one pass into a C-ordered buffer whose data starts on a 64-byte boundary
     buf = np.empty(n * n + 8)
     start = -buf.ctypes.data % 64 // 8
     j = buf[start : start + n * n].reshape(n, n)
     np.multiply(m, scale, out=j)
     np.fill_diagonal(j, 0.0)
-    if n * n > _DENSE_MAX_ENTRIES and _CSR_MAX_FILL * np.count_nonzero(j) <= n * n:
-        return _csr(j, j != 0.0, 1.0)
     return j
-
-
-def _csr(m: np.ndarray, nonzero: np.ndarray, scale: float):
-    """The canonical CSR array of the nonzero ``m * scale`` where ``nonzero`` is set."""
-    from scipy import sparse
-
-    n = m.shape[0]
-    flat = np.flatnonzero(nonzero)
-    data = m.take(flat) * scale
-    kept = data != 0.0
-    if not kept.all():
-        flat, data = flat[kept], data[kept]
-    # flat positions come sorted: each row starts where its first would go
-    indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(np.int32)
-    return sparse.csr_array((data, (flat % n).astype(np.int32), indptr), shape=(n, n))
 
 
 def _enumerate_bits(n: int, start: int, stop: int) -> np.ndarray:
@@ -358,14 +329,14 @@ def read_qubo_file(path) -> QuboProblem:
     and blank lines are skipped. A malformed file raises ``ValueError`` naming
     the file and the offending line.
 
-    The file is read once, and its count line (the first with text outside a
-    comment) is parsed once. A regular file named by a ``str`` or a path object
-    that numpy's DataSource opens as a plain file (not a URL, and no suffix it
-    decompresses) has its entries read by name in one ``np.loadtxt`` pass after
-    the count line, which numpy parses in chunks. Every other file, and any
-    that pass rejects, goes through the line loop on the text already read,
-    which reports errors and accepts the spellings only Python's ``int`` and
-    ``float`` take (such as ``1_0``).
+    The file is read into text, and its count line (the first with text
+    outside a comment) is parsed once. A regular file named by a ``str`` or a
+    path object that numpy's DataSource opens as a plain file (not a URL, and
+    no suffix it decompresses) is then read a second time, by name, for its
+    entries: one ``np.loadtxt`` pass after the count line, which numpy parses
+    in chunks. Every other file, and any that pass rejects, goes through the
+    line loop on the text already read, which reports errors and accepts the
+    spellings only Python's ``int`` and ``float`` take (such as ``1_0``).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

@@ -59,9 +59,9 @@ one ``(n,)`` row. One draw of ``(restarts, n)`` momenta gives the numbers
 per-restart draws would give, in the same order, and every operation but the
 coupling product is elementwise. The product dominates a step at large ``n``
 (Goto, Tatsumura & Dixon, Sci. Adv. 5:eaav2372, 2019). ``J`` comes in the
-form the ``ising`` module chose once (the assignment coupling, CSR or
-dense), and before its loop each solve picks the product's entry for that
-form (:func:`_product`):
+form the ``ising`` module chose once (the assignment coupling or dense), and
+before its loop each solve picks the product's entry for that form
+(:func:`_product`):
 
 - the assignment coupling: its own product into buffers of this solve, one
   sequential prefix sum along each axis of the ``(n_t, n_d)`` grid of every
@@ -74,12 +74,9 @@ form (:func:`_product`):
   of ``x``, so the rows stay independent trajectories, but ``dgemm`` sums in
   another order than ``dgemv``: a row differs in the last bits from the same
   restart solved alone;
-- anything else, such as CSR, a wrapped coupling, or a dense ``J`` stored
-  unchecked in Fortran order or as a strided view with one restart: the
-  public operators, ``J @ x`` (``coupling.__matmul__``) on one row and
-  ``x @ J`` (``coupling.__rmatmul__``) on rows. ``J`` is symmetric, and scipy
-  sums each output of ``x @ J`` in the order it sums that row of ``J @ x``,
-  so a CSR row too gets the bits it gets alone.
+- any other coupling on one row, such as a wrapped one or a dense ``J``
+  stored unchecked in Fortran order or as a strided view: the public
+  operator ``J @ x`` (``coupling.__matmul__``).
 
 A step's operands are made once per solve (README "Solver notes" has what
 each saves): ``c0``, ``dt``, the wall's ``1``, ``-1`` and ``0`` and each
@@ -98,10 +95,10 @@ which changes no arithmetic, only whether NumPy reports an error. The spins
 are digitized and scored row by row, and the earliest restart wins a tie.
 Each form of ``J`` sums a row in its own order, so trajectories and energies
 differ between the forms in the last bits. The assignment coupling sums by
-position along each row and column of the grid, as CSR sums a row; the
-exactly symmetric ``row sum + column sum - 2 x`` would round the spins of a
-tied row alike and keep them in step through the wall (README "Solver notes"
-has what that cost the strict tables).
+position along each row and column of the grid; the exactly symmetric
+``row sum + column sum - 2 x`` would round the spins of a tied row alike and
+keep them in step through the wall (README "Solver notes" has what that cost
+the strict tables).
 """
 
 from __future__ import annotations
@@ -182,19 +179,17 @@ def _product(coupling, x: np.ndarray):
     if type(coupling) is _AssignmentCoupling:
         # one restart or several, into buffers that belong to this solve
         return coupling.product(x)
-    if x.ndim == 1:
-        if type(coupling) is np.ndarray and coupling.flags.c_contiguous:
-            return coupling.dot
-        return coupling.__matmul__
-    if type(coupling) is np.ndarray:
-        # the rows of several restarts, one matrix-matrix product into a buffer
+    if x.ndim == 2:
+        # the rows of several restarts on a dense J, one matrix-matrix product into a buffer
         dot, out = np.dot, np.empty_like(x)
 
         def dot_rows(x):
             return dot(x, coupling, out=out)
 
         return dot_rows
-    return coupling.__rmatmul__
+    if type(coupling) is np.ndarray and coupling.flags.c_contiguous:
+        return coupling.dot
+    return coupling.__matmul__
 
 
 def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:

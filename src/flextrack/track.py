@@ -147,10 +147,7 @@ class TrackConfig:
             )
         if self.c_small < 0:
             raise ValueError(f"c_small must be non-negative, got {self.c_small}")
-        # -inf turns the gate off; +inf would gate every match out, and nan
-        # compares false with every similarity
-        if not self.s_min < math.inf:
-            raise ValueError(f"s_min must be below inf and not nan, got {self.s_min}")
+        _assign._validate_s_min(self.s_min)
         if not self.c_small < self.c_large:
             raise ValueError(f"need c_small < c_large, got {self.c_small} >= {self.c_large}")
 

@@ -1,7 +1,6 @@
 """Reference helpers shared by the tests; the package itself never calls them."""
 
 import numpy as np
-from scipy import sparse
 
 from flextrack.ising import IsingProblem, QuboProblem, _AssignmentCoupling
 
@@ -37,7 +36,8 @@ def dense_coupling(problem: QuboProblem) -> np.ndarray:
 
 def dense_ising(problem: QuboProblem) -> IsingProblem:
     """``qubo_to_ising(problem)`` with the dense coupling at every size, stored
-    unchecked: the dense reference where the conversion gives a CSR coupling."""
+    unchecked: the dense reference where the conversion gives the assignment
+    coupling."""
     h = problem.q.sum(axis=1) / 2.0
     offset = float(problem.q.sum() + np.trace(problem.q)) / 4.0
     return IsingProblem._from_symmetric(dense_coupling(problem), h, offset)
@@ -51,10 +51,8 @@ def assignment_grid(j):
 
 
 def coupling_arrays(j) -> list:
-    """A coupling's arrays as (dtype, bytes): a dense array's own, or a CSR
-    array's ``indptr``, ``indices`` and ``data``."""
-    arrays = (j.indptr, j.indices, j.data) if sparse.issparse(j) else (j,)
-    return [(a.dtype, a.tobytes()) for a in arrays]
+    """A dense coupling's type, dtype and bytes."""
+    return [(type(j), j.dtype, j.tobytes())]
 
 
 def iou(a, b) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_array, issparse
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from flextrack import assign
@@ -256,18 +256,16 @@ class TestBuildAssignmentQubo:
         assert type(problem) is QuboProblem
         assert QuboProblem(problem.q).q.tobytes() == problem.q.tobytes()
         ising = qubo_to_ising(problem)
-        # the same matrix without its grid takes the dense or CSR form
+        # the same matrix without its grid is dense
         untagged = qubo_to_ising(QuboProblem(problem.q))
-        # the converter's coupling as first written, -q / 2 with a zeroed
-        # diagonal, in the form the rule picks for it
+        # the converter's coupling as first written, -q / 2 with a zeroed diagonal
         j = dense_coupling(problem)
         validated = IsingProblem(j, ising.h, ising.offset)
         assert coupling_arrays(validated.j) == coupling_arrays(untagged.j)
         assert validated.h.tobytes() == ising.h.tobytes() == untagged.h.tobytes()
         assert validated.offset == ising.offset == untagged.offset
-        want = csr_array(j) if issparse(untagged.j) else j
-        assert coupling_arrays(untagged.j) == coupling_arrays(want)
-        if n_t * n_d > 362 and c > 0:
+        assert coupling_arrays(untagged.j) == coupling_arrays(j)
+        if n_t * n_d > 362:
             assert assignment_grid(ising.j) == (n_t, n_d, c * -0.5)
         else:
             assert coupling_arrays(ising.j) == coupling_arrays(untagged.j)
@@ -388,8 +386,9 @@ class TestHungarian:
 
 
 class TestInputChecks:
-    """Each public entry rejects a non-finite similarity, and ``repair_table`` a
-    table that is not 2-D or not 0/1, with its message."""
+    """Each public entry rejects a non-finite similarity, both assigners a gate
+    ``s_min`` that is nan or +inf, and ``repair_table`` a table that is not
+    2-D or not 0/1, or a similarity of another shape, with its message."""
 
     @pytest.mark.parametrize(
         "call",
@@ -406,6 +405,29 @@ class TestInputChecks:
         s = np.array([[0.5, 0.1], [0.2, bad]])
         with pytest.raises(ValueError, match="^similarity matrix contains non-finite entries$"):
             call(s)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s_min: flexible_assign([[0.05, 0.0], [0.0, 0.9]], brute_solver, s_min=s_min),
+            lambda s_min: hungarian_assign([[0.05, 0.0], [0.0, 0.9]], s_min=s_min),
+        ],
+        ids=["flexible_assign", "hungarian_assign"],
+    )
+    @pytest.mark.parametrize("s_min", [np.nan, np.inf])
+    def test_gate_must_be_below_inf_and_not_nan(self, call, s_min):
+        # as TrackConfig rejects them: nan would MATCH the 0.05 pair, and +inf
+        # would gate every tracker out
+        with pytest.raises(ValueError, match=f"^s_min must be below inf and not nan, got {s_min}$"):
+            call(s_min)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 1), (3, 3)])
+    def test_similarity_must_have_the_table_shape(self, shape):
+        # (1, 3) and (2, 1) would broadcast against the 2 x 3 table
+        table = np.array([[1, 1, 0], [0, 1, 0]])
+        message = f"^similarity matrix shape {re.escape(str(shape))} does not match table shape \\(2, 3\\)$"
+        with pytest.raises(ValueError, match=message):
+            repair_table(table, np.ones(shape))
 
     @pytest.mark.parametrize("table", [np.ones(4), np.ones((1, 2, 2))])
     def test_table_must_be_2d(self, table):
@@ -637,10 +659,10 @@ class TestOneWeightAtATime:
         rng = np.random.default_rng(seed)
         s = sparse_iou_like(rng, n_t, n_d, fill)
         # the frame is large enough for the assignment coupling's product; the
-        # same matrix without its grid would take CSR
+        # same matrix without its grid would be dense
         problem, _ = build_assignment_qubo(s, DEFAULT_C_LARGE)
         assert assignment_grid(qubo_to_ising(problem).j) == (n_t, n_d, -0.5)
-        assert issparse(qubo_to_ising(QuboProblem(problem.q)).j)
+        assert type(qubo_to_ising(QuboProblem(problem.q)).j) is np.ndarray
         got = flexible_assign(s, sb_solver)
         want = both_built_first(s, sb_solver)
         assert np.array_equal(got.table_large, want.table_large)

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import issparse
 
 import flextrack
 from flextrack import track
@@ -398,9 +397,9 @@ _SMALL = [1e-300, 5e-324, 0.0, 1.0, -1.0]
 
 @st.composite
 def huge_qubo_files(draw):
-    """A QUBO text with entries up to +-8e307: at most 362 variables (a dense
-    coupling) or above (few entries, so the CSR coupling), the entries on a
-    few rows so that their sums overflow."""
+    """A QUBO text with entries up to +-8e307: at most 362 variables or above
+    (few entries, in a dense coupling at every size), the entries on a few
+    rows so that their sums overflow."""
     n = draw(st.one_of(st.integers(1, 8), st.integers(363, 400)))
     index = st.integers(0, min(n, 5) - 1)
     value = st.one_of(
@@ -925,7 +924,6 @@ from flextrack.sb import SbParams, solve_ising
 problem = build_assignment_qubo(np.load(sys.argv[1]), 1.0)[0]
 if sys.argv[3] == "matrix":
     problem = QuboProblem(problem.q)
-assert "scipy.sparse" not in sys.modules
 p = qubo_to_ising(problem)
 print(json.dumps(solve_ising(p, SbParams(seed=3, restarts=int(sys.argv[2]), n_steps=80)).tolist()))
 {_PRINT_SCIPY}
@@ -942,8 +940,7 @@ def scipy_modules_after(*args):
 
 
 class TestScipyLoadedOnDemand:
-    """Only ``track --baseline`` and solves of sparse QUBOs above 362 spins
-    that are not built as assignment grids import scipy.
+    """Only ``track --baseline`` imports scipy, for ``hungarian``.
 
     pytest has imported scipy before any test runs, so a deferred import that
     went missing (a ``NameError`` on ``sparse``) shows only in a new process.
@@ -965,7 +962,7 @@ class TestScipyLoadedOnDemand:
 
     @pytest.mark.parametrize("n", [256, 400])
     def test_dense_solve_qubo_loads_no_scipy(self, tmp_path, capsys, n):
-        # 400 variables pass the size test of the CSR rule but not its fill test
+        # 256 variables are below the assignment coupling's size threshold, 400 above
         q = np.random.default_rng(n).normal(size=(n, n))
         i, j = np.triu_indices(n)
         lines = [f"{a} {b} {v!r}" for a, b, v in zip(i.tolist(), j.tolist(), q[i, j].tolist())]
@@ -976,17 +973,16 @@ class TestScipyLoadedOnDemand:
         assert out == capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("restarts", [1, 3])
-    def test_assignment_above_362_spins_solves_on_csr(self, tmp_path, restarts):
+    def test_assignment_matrix_above_362_spins_loads_no_scipy(self, tmp_path, restarts):
         # the assignment QUBO's matrix without its grid, as a file gives it
         rng = np.random.default_rng(20)
         s = np.where(rng.uniform(size=(20, 20)) < 0.1, rng.uniform(0.05, 0.95, (20, 20)), 0.0)
         path = str(tmp_path / "s.npy")
         np.save(path, s)
         (spins,), loaded = scipy_modules_after("-c", _SOLVE_ASSIGNMENT, path, str(restarts), "matrix")
-        # the conversion imported scipy.sparse: the 400-spin coupling went to CSR
-        assert "scipy.sparse" in loaded
+        assert loaded == []
         p = qubo_to_ising(QuboProblem(build_assignment_qubo(s, 1.0)[0].q))
-        assert issparse(p.j)
+        assert type(p.j) is np.ndarray
         want = solve_ising(p, SbParams(seed=3, restarts=restarts, n_steps=80))
         assert json.loads(spins) == want.tolist()
 
@@ -1003,21 +999,23 @@ class TestScipyLoadedOnDemand:
         want = solve_ising(p, SbParams(seed=3, restarts=restarts, n_steps=80))
         assert json.loads(spins) == want.tolist()
 
-    def test_crowd_track_loads_no_scipy_and_sparse_file_does(self, tmp_path):
-        # the scene's 43 assigned frames (all but the first of 44) are above 362 spins
+    def test_crowd_track_and_sparse_file_load_no_scipy(self, tmp_path):
+        # the scene's 43 assigned frames (all but the first of 44) are above 362
+        # spins, at the default weights and with c_small = 0
         prefix = str(tmp_path / "crowd")
         assert main(["simulate", str(SCENARIOS / "crowd24_overtakes.txt"), "--seed", "1", "-o", prefix]) == 0
-        out = str(tmp_path / "res.txt")
-        _, loaded = scipy_modules_after("-c", _RUN_MAIN, "track", prefix + ".det.txt", "-o", out)
-        assert loaded == []
-        in_process = str(tmp_path / "in_process.txt")
-        assert main(["track", prefix + ".det.txt", "-o", in_process]) == 0
-        assert Path(out).read_bytes() == Path(in_process).read_bytes()
-        # the same kind of matrix read from a file has no grid: CSR, through scipy
+        cfg = write(tmp_path / "c0.cfg", "c_small = 0\n")
+        for extra in ([], ["--config", cfg]):
+            out, in_process = str(tmp_path / "res.txt"), str(tmp_path / "in_process.txt")
+            _, loaded = scipy_modules_after("-c", _RUN_MAIN, "track", prefix + ".det.txt", "-o", out, *extra)
+            assert loaded == []
+            assert main(["track", prefix + ".det.txt", "-o", in_process, *extra]) == 0
+            assert Path(out).read_bytes() == Path(in_process).read_bytes()
+        # the same kind of matrix read from a file has no grid: dense, without scipy
         q = build_assignment_qubo(np.random.default_rng(4).uniform(size=(20, 21)), 1.0)[0].q
         i, j = np.triu_indices(420)
         keep = q[i, j] != 0.0
         lines = [f"{a} {b} {v!r}" for a, b, v in zip(i[keep].tolist(), j[keep].tolist(), q[i, j][keep].tolist())]
         qubo = write(tmp_path / "assign420.txt", "\n".join(["420"] + lines) + "\n")
         _, loaded = scipy_modules_after("-c", _RUN_MAIN, "solve-qubo", qubo)
-        assert "scipy.sparse" in loaded
+        assert loaded == []

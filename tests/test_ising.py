@@ -104,37 +104,6 @@ class TestIsingEnergy:
             IsingProblem(j=j, h=h, offset=offset)
 
 
-class TestSparseEnergy:
-    """On a CSR ``j``, ``ising_energy`` gives the bits of the transposed product
-    ``(-0.5 * s) @ j @ s`` it replaced, down to subnormals and up to overflow."""
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        n_t=st.integers(19, 40),
-        n_d=st.integers(20, 40),
-        exponent=st.sampled_from([308, 300, 0, -300, -320]) | st.integers(-320, 308),
-        seed=st.integers(0, 2**16),
-    )
-    @example(n_t=20, n_d=20, exponent=308, seed=0)
-    @example(n_t=24, n_d=24, exponent=-320, seed=0)
-    def test_bits_of_the_transposed_product(self, n_t, n_d, exponent, seed):
-        rng = np.random.default_rng(seed)
-        t, d = np.divmod(np.arange(n_t * n_d), n_d)
-        shared = (t[:, None] == t) | (d[:, None] == d)
-        # couplings and biases of random sign within three decades below 10**exponent
-        raw = np.where(shared, rng.choice((-1.0, 1.0), shared.shape), 0.0)
-        raw *= 10.0 ** (exponent - rng.uniform(0, 3, shared.shape))
-        h = rng.choice((-1.0, 1.0), n_t * n_d) * 10.0 ** (exponent - rng.uniform(0, 3, n_t * n_d))
-        p = IsingProblem(np.triu(raw, 1) + np.triu(raw, 1).T, h)
-        assert type(p.j) is not np.ndarray
-        for _ in range(5):
-            s = rng.choice((-1.0, 1.0), p.n)
-            with np.errstate(all="ignore"):
-                want = float((-0.5 * s) @ p.j @ s + p.h @ s)
-                got = ising_energy(p, s)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-
 class TestConversion:
     def test_diagonal_example(self):
         p = QuboProblem(np.diag([2.0, -4.0]))
