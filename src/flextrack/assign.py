@@ -102,6 +102,14 @@ def _validate_s_min(s_min: float) -> None:
         raise ValueError(f"s_min must be below inf and not nan, got {s_min}")
 
 
+def _validate_weights(c_small: float, c_large: float) -> None:
+    for name, c in (("c_small", c_small), ("c_large", c_large)):
+        if not (np.isfinite(c) and c >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {c}")
+    if not c_small < c_large:
+        raise ValueError(f"need c_small < c_large, got {c_small} >= {c_large}")
+
+
 def build_assignment_qubo(s, c: float) -> tuple[QuboProblem, float]:
     """Build the assignment QUBO for penalty weight ``c``.
 
@@ -250,8 +258,7 @@ def flexible_assign(
     """
     s = _validate_similarity(s)
     _validate_s_min(s_min)
-    if not c_small < c_large:
-        raise ValueError(f"need c_small < c_large, got {c_small} >= {c_large}")
+    _validate_weights(c_small, c_large)
     n_t, n_d = s.shape
     bits_large, energy_large = _solve_at(s, c_large, solver)
     bits_small, energy_small = _solve_at(s, c_small, solver)

@@ -22,7 +22,7 @@ Initialization: positions start at zero and momenta are drawn uniformly from
 
 :func:`solve_ising` runs one fused loop over in-place ``x`` and ``y``
 arrays: no state object per step, the detuning of every step index built once
-per ``n_steps`` and kept (:func:`_schedule`, the last 8 lengths), and
+per ``n_steps`` and kept (:func:`_schedule`, the last length only), and
 ``eta * h`` computed once per solve. It performs the floating-point
 operations of the step above in the order written, so with a dense coupling
 its spins are bit-identical to iterating a one-step reference (``sb_step`` in
@@ -166,7 +166,7 @@ def _constant(value: float) -> np.ndarray:
     return constant
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _schedule(n_steps: int) -> tuple[np.ndarray, ...]:
     """The term ``-(1 - k / n_steps)`` of every step ``k`` as a :func:`_constant`,
     built once per ``n_steps``."""

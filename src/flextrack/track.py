@@ -37,18 +37,12 @@ KF_P0.flags.writeable = False  # every new tracker holds this one array
 MIN_AREA = 1e-6
 
 # The covariance recursion reads neither the state nor the detection, so
-# predict's F P F' + Q and update's gain and (I - K H) P are memoized. Trackers
-# start from KF_P0 and share each result, all read-only, so a table is keyed by
-# id(cov); the entry holds cov, so the id stays taken while the entry exists.
-# A writable cov, which its owner may change in place, is frozen into a copy
-# first. Unmatched trackers keep adding covariances, so a table is emptied at this size.
-# Every frame predicts, so interning predicted covariances by their bytes
-# brings a chain whose bytes cycle (a tracker matched on every frame) back to
-# arrays the tables hold.
+# predict's F P F' + Q and update's gain and (I - K H) P are memoized, keyed by
+# the covariance's bytes; trackers with equal bytes share one read-only result.
+# Unmatched trackers keep adding covariances, so a table is emptied at this size.
 KALMAN_MEMO_SIZE = 4096
-_predict_memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_update_memo: dict[int, tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]] = {}
-_interned: dict[bytes, np.ndarray] = {}  # emptied with either table
+_predict_memo: dict[bytes, np.ndarray] = {}
+_update_memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -139,17 +133,14 @@ class TrackConfig:
     sb_params: _sb.SbParams = field(default_factory=_sb.SbParams)
 
     def __post_init__(self):
+        for name in ("max_age", "anti_aging"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_age < 0 or self.anti_aging < 0:
             raise ValueError("max_age and anti_aging must be non-negative")
-        if not (math.isfinite(self.c_small) and math.isfinite(self.c_large)):
-            raise ValueError(
-                f"c_small and c_large must be finite, got {self.c_small}, {self.c_large}"
-            )
-        if self.c_small < 0:
-            raise ValueError(f"c_small must be non-negative, got {self.c_small}")
+        _assign._validate_weights(self.c_small, self.c_large)
         _assign._validate_s_min(self.s_min)
-        if not self.c_small < self.c_large:
-            raise ValueError(f"need c_small < c_large, got {self.c_small} >= {self.c_large}")
 
 
 def _edges(boxes) -> np.ndarray:
@@ -208,15 +199,13 @@ def new_tracker(detection: Detection, tracker_id: int) -> Tracker:
 
 
 def _memoized(memo: dict, cov: np.ndarray, compute):
-    if cov.flags.writeable or cov.base is not None:  # a writable array or a view
-        cov = _read_only(cov.copy())
-    entry = memo.get(id(cov))
-    if entry is None:
+    key = cov.tobytes()
+    result = memo.get(key)
+    if result is None:
         if len(memo) >= KALMAN_MEMO_SIZE:
             memo.clear()
-            _interned.clear()
-        entry = memo[id(cov)] = (cov, compute(cov))
-    return entry[1]
+        result = memo[key] = compute(cov)
+    return result
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -230,8 +219,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # matmul ufunc's dispatch (README "Tracker notes" has the cost), as
 # ``sb._product`` does for ``J.dot(x)``.
 def _predicted_cov(cov: np.ndarray) -> np.ndarray:
-    predicted = _read_only(KF_F.dot(cov).dot(KF_F.T) + KF_Q)
-    return _interned.setdefault(predicted.tobytes(), predicted)
+    return _read_only(KF_F.dot(cov).dot(KF_F.T) + KF_Q)
 
 
 def _gain_and_updated_cov(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

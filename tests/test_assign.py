@@ -532,6 +532,16 @@ class TestFlexibleAssign:
         with pytest.raises(ValueError, match="c_small"):
             flexible_assign(np.array([[0.5]]), brute_solver, c_small=1.0, c_large=0.1)
 
+    @pytest.mark.parametrize("key", ["c_small", "c_large"])
+    @pytest.mark.parametrize("value", [-0.5, np.nan, np.inf])
+    def test_weight_must_be_finite_and_non_negative(self, key, value):
+        # the rule TrackConfig applies, with the weight's name, before any solve
+        def no_solve(problem):
+            raise AssertionError("solved")
+
+        with pytest.raises(ValueError, match=f"^{key} must be finite and non-negative, got {value}$"):
+            flexible_assign(np.array([[0.5]]), no_solve, **{key: value})
+
     def test_repairs_infeasible_solver_output(self):
         # a sloppy heuristic answering the tolerant table for both weights
         def sloppy(problem):

@@ -838,6 +838,10 @@ class TestProductEntries:
 
     def test_schedule_is_built_once_per_length(self):
         assert sb._schedule(400) is sb._schedule(400)
+        # only the last length is kept: a long schedule is large
+        sb._schedule(7)
+        sb._schedule(400)
+        assert sb._schedule.cache_info().currsize == 1
         assert sb._schedule(3) == (-1.0, -(1.0 - 1 / 3), -(1.0 - 2 / 3))
         # read-only 0-d float64 entries, as built after solves that throw every
         # position to inf before the wall, and solves whose steps underflow

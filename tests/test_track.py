@@ -376,6 +376,19 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="^max_age and anti_aging must be non-negative$"):
             TrackConfig(**{key: -1})
 
+    @pytest.mark.parametrize("key", ["max_age", "anti_aging"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 5.0, True, "5", None])
+    def test_non_integer_age_limits(self, key, value):
+        # a nan max_age would delete every tracker in the frame it spawns
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+            TrackConfig(**{key: value})
+
+    @pytest.mark.parametrize("key", ["c_small", "c_large"])
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_weight_not_finite_and_non_negative(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite and non-negative, got {value}$"):
+            TrackConfig(**{key: value})
+
     @pytest.mark.parametrize("c_small, c_large", [(1.0, 1.0), (2.0, 1.0)])
     def test_weights_out_of_order(self, c_small, c_large):
         with pytest.raises(ValueError, match=f"^need c_small < c_large, got {c_small} >= {c_large}$"):
@@ -487,9 +500,9 @@ class TestKalmanMemo:
 
     def test_matched_chain_stops_computing_where_its_bytes_cycle(self, monkeypatch):
         # a tracker matched on every frame reaches covariances whose bytes
-        # repeat with period 2 (from frame 1,689 here); interning brings it
-        # back to arrays the tables hold, so nothing is computed after that
-        for name in ("_predict_memo", "_update_memo", "_interned"):
+        # repeat with period 2 (from frame 1,689 here); the tables are keyed by
+        # those bytes, so nothing is computed after that
+        for name in ("_predict_memo", "_update_memo"):
             monkeypatch.setattr(track, name, {})
         computed_at = []
         for name in ("_predicted_cov", "_gain_and_updated_cov"):
@@ -551,13 +564,16 @@ class TestKalmanMemo:
 
     @staticmethod
     def changed_in_place(owner, holder, kalman_step, reference_step):
-        """Three trackers in turn hold the caller's writable ``owner`` (or a
-        read-only view of it), with an in-place write to ``owner`` between two
-        steps; each must get the reference's bytes, and ``owner`` stays writable."""
+        """Three trackers in turn hold the caller's ``owner`` (or a read-only
+        view of it), with an in-place write to ``owner`` between two steps; each
+        must get the reference's bytes. A ``refrozen`` owner is read-only but
+        for the write; any other stays writable."""
         held = owner
         if holder == "read_only_view":
             held = owner.view()
             held.flags.writeable = False
+        refrozen = holder == "refrozen"
+        owner.flags.writeable = not refrozen
         x = np.array([5.0, 5.0, 100.0, 1.0, 2.0, -1.0, 3.0])
         for k in range(3):
             got = Tracker(id=1, x=x.copy(), cov=held)
@@ -566,22 +582,39 @@ class TestKalmanMemo:
             reference_step(want)
             assert got.x.tobytes() == want.x.tobytes()
             assert got.cov.tobytes() == want.cov.tobytes()
+            owner.flags.writeable = True
             owner[k, k] += 1.0
             owner[4 + k, k] = owner[k, 4 + k] = 0.5 * (k + 1)
-        assert owner.flags.writeable
+            owner.flags.writeable = not refrozen
+        assert owner.flags.writeable is not refrozen
 
-    @pytest.mark.parametrize("holder", ["array", "read_only_view"])
+    @pytest.mark.parametrize("holder", ["array", "read_only_view", "refrozen"])
     def test_writable_covariance_changed_between_predicts(self, holder):
-        # a memo keyed by bare id() would serve the first result again here
+        # a memo keyed by the array's identity would serve the first result again here
         self.changed_in_place(KF_P0.copy(), holder, predict, reference_predict)
 
-    @pytest.mark.parametrize("holder", ["array", "read_only_view"])
+    @pytest.mark.parametrize("holder", ["array", "read_only_view", "refrozen"])
     def test_writable_covariance_changed_between_updates(self, holder):
         detection = det(1, 1, 10, 10)
         self.changed_in_place(
             KF_P0.copy(), holder,
             lambda t: update(t, detection), lambda t: reference_update(t, detection),
         )
+
+    def test_equal_bytes_are_computed_once(self, monkeypatch):
+        # two writable copies, distinct arrays with the same bytes, share one product
+        monkeypatch.setattr(track, "_predict_memo", {})
+        computed = []
+        compute = track._predicted_cov
+        monkeypatch.setattr(track, "_predicted_cov", lambda cov: computed.append(cov) or compute(cov))
+        cov = KF_P0.copy()
+        cov[0, 0] = 99.0
+        a = Tracker(id=1, x=np.array([5.0, 5.0, 100.0, 1.0, 0.0, 0.0, 0.0]), cov=cov.copy())
+        b = Tracker(id=2, x=a.x.copy(), cov=cov.copy())
+        predict(a)
+        predict(b)
+        assert len(computed) == 1
+        assert a.cov is b.cov
 
     def test_shared_covariance_is_read_only(self):
         a = new_tracker(det(0, 0, 10, 10), tracker_id=1)
