@@ -102,10 +102,14 @@ def _validate_s_min(s_min: float) -> None:
         raise ValueError(f"s_min must be below inf and not nan, got {s_min}")
 
 
+def _validate_weight(name: str, c: float) -> None:
+    if not (np.isfinite(c) and c >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {c}")
+
+
 def _validate_weights(c_small: float, c_large: float) -> None:
-    for name, c in (("c_small", c_small), ("c_large", c_large)):
-        if not (np.isfinite(c) and c >= 0):
-            raise ValueError(f"{name} must be finite and non-negative, got {c}")
+    _validate_weight("c_small", c_small)
+    _validate_weight("c_large", c_large)
     if not c_small < c_large:
         raise ValueError(f"need c_small < c_large, got {c_small} >= {c_large}")
 
@@ -119,8 +123,7 @@ def build_assignment_qubo(s, c: float) -> tuple[QuboProblem, float]:
         qubo_energy(problem, b.ravel()) + dropped == H_cost(b).
     """
     s = _validate_similarity(s)
-    if not (np.isfinite(c) and c >= 0):
-        raise ValueError(f"penalty weight must be finite and non-negative, got {c}")
+    _validate_weight("penalty weight", c)
     n_t, n_d = s.shape
     n = n_t * n_d
     # pairs (t, d) and (t', d') are penalized together when they share exactly

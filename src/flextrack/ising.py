@@ -14,7 +14,8 @@ and finiteness and symmetrizes, ``IsingProblem`` checks shapes, finiteness
 (of ``offset`` too), symmetry and a zero diagonal. The private
 ``_from_symmetric`` constructors store the arrays as given, unchecked and
 uncopied, and trust the caller for all of that: float64, square, non-empty,
-finite, exactly symmetric, and a zero Ising diagonal. Only
+finite, exactly symmetric, a zero Ising diagonal, and a dense Ising coupling
+C-ordered, as ``_coupling`` writes it. Only
 ``build_assignment_qubo`` and :func:`qubo_to_ising` use them, on matrices that
 are so by construction; file input and the CLI go through the public ones.
 Construction alone does not make the Ising biases and offset finite: they are
@@ -42,7 +43,8 @@ by it, and :func:`ising_energy` takes both of its forms:
 :func:`read_qubo_file` reads the QUBO text format: it parses the count line
 once, then reads the entries in one ``np.loadtxt`` pass by name or, for every
 file that pass cannot take or rejects, in one line loop. Its comment-skipping
-line iterator also serves the config and scenario readers.
+line iterator also serves the config and scenario readers, and
+:func:`_check_integers` serves the parameter classes of the other modules.
 
 The module also provides :func:`brute_force_qubo`, an exhaustive minimizer used
 as the test oracle throughout the package (capped at 24 variables).
@@ -92,14 +94,12 @@ class QuboProblem:
         object.__setattr__(self, "q", q)
 
     @classmethod
-    def _from_symmetric(cls, q: np.ndarray, assignment=None) -> QuboProblem:
-        """Wrap a matrix the package built symmetric and finite, unchecked
-        (module docstring); ``assignment`` is the grid ``(n_t, n_d, c)`` of an
-        assignment QUBO."""
+    def _from_symmetric(cls, q: np.ndarray, assignment: tuple[int, int, float]) -> QuboProblem:
+        """Wrap an assignment QUBO the package built symmetric and finite,
+        unchecked (module docstring), with its grid ``assignment``, ``(n_t, n_d, c)``."""
         p = object.__new__(cls)
         object.__setattr__(p, "q", q)
-        if assignment is not None:
-            object.__setattr__(p, "_assignment", assignment)
+        object.__setattr__(p, "_assignment", assignment)
         return p
 
     @property
@@ -142,7 +142,8 @@ class IsingProblem:
 
     @classmethod
     def _from_symmetric(cls, j: np.ndarray, h: np.ndarray, offset: float) -> IsingProblem:
-        """Wrap couplings the package built symmetric with a zero diagonal, unchecked."""
+        """Wrap couplings the package built symmetric with a zero diagonal and,
+        when dense, C-ordered, as :func:`_coupling` writes it; unchecked."""
         p = object.__new__(cls)
         object.__setattr__(p, "j", j)
         object.__setattr__(p, "h", h)
@@ -224,7 +225,7 @@ class _AssignmentCoupling:
     without row ``t``). Each exclusion is the exclusive prefix sum plus (the
     total less the inclusive prefix sum) along its axis, so it rounds by
     position (the ``sb`` docstring says why). Read-only: :meth:`product`
-    gives each solve buffers of its own, and ``@`` makes new ones.
+    gives each solve buffers of its own, and ``@`` on one vector makes new ones.
     """
 
     __slots__ = ("shape", "grid", "half")
@@ -268,10 +269,6 @@ class _AssignmentCoupling:
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            # NumPy's rule for a matrix operand: the product of each column
-            rows = np.ascontiguousarray(x.T)
-            return self.product(rows)(rows).T
         return self.product(x)(x)
 
 
@@ -390,6 +387,15 @@ def _content_lines(lines):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, raw, line
+
+
+def _check_integers(obj, *names: str) -> None:
+    """Raise ``ValueError`` unless each attribute ``names`` of ``obj`` is an
+    ``int`` and not a ``bool``."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is bool or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _entries_by_name(name: str, skip: int, n: int) -> np.ndarray | None:

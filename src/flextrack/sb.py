@@ -60,7 +60,7 @@ per-restart draws would give, in the same order, and every operation but the
 coupling product is elementwise. The product dominates a step at large ``n``
 (Goto, Tatsumura & Dixon, Sci. Adv. 5:eaav2372, 2019). ``J`` comes in the
 form the ``ising`` module chose once (the assignment coupling or dense), and
-before its loop each solve picks the product's entry for that form
+before its loop each solve picks one of three entries of the product
 (:func:`_product`):
 
 - the assignment coupling: its own product into buffers of this solve, one
@@ -73,10 +73,7 @@ before its loop each solve picks the product's entry for that form
   ``x @ J`` in every layout. BLAS computes each output row from its own row
   of ``x``, so the rows stay independent trajectories, but ``dgemm`` sums in
   another order than ``dgemv``: a row differs in the last bits from the same
-  restart solved alone;
-- any other coupling on one row, such as a wrapped one or a dense ``J``
-  stored unchecked in Fortran order or as a strided view: the public
-  operator ``J @ x`` (``coupling.__matmul__``).
+  restart solved alone.
 
 A step's operands are made once per solve (README "Solver notes" has what
 each saves): ``c0``, ``dt``, the wall's ``1``, ``-1`` and ``0`` and each
@@ -110,7 +107,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ising import IsingProblem, QuboProblem, ising_energy, qubo_energy, qubo_to_ising, spins_to_bits
-from .ising import _AssignmentCoupling
+from .ising import _AssignmentCoupling, _check_integers
 
 
 @dataclass(frozen=True)
@@ -131,10 +128,7 @@ class SbParams:
     init_noise: float = 0.1
 
     def __post_init__(self):
-        for name in ("n_steps", "restarts", "seed"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(self, "n_steps", "restarts", "seed")
         for name in ("c0", "eta", "dt", "init_noise"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -187,9 +181,7 @@ def _product(coupling, x: np.ndarray):
             return dot(x, coupling, out=out)
 
         return dot_rows
-    if type(coupling) is np.ndarray and coupling.flags.c_contiguous:
-        return coupling.dot
-    return coupling.__matmul__
+    return coupling.dot
 
 
 def solve_ising(p: IsingProblem, params: SbParams = SbParams()) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .ising import _content_lines
+from .ising import _check_integers, _content_lines
 from .track import BoundingBox, Detection, TrackConfig, _edges, iou_matrix, mot_printable
 
 # default association floor of the metrics
@@ -58,8 +58,11 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
+        _check_integers(self, "n_frames", "seed")
         if self.n_frames < 1:
             raise ValueError("n_frames must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (0 < self.occlusion_iou <= 1):
             raise ValueError("occlusion_iou must lie in (0, 1]")
         # the generator draws from [-jitter, jitter], whose length must be finite

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import assign as _assign
 from . import sb as _sb
+from .ising import _check_integers
 
 # constant-velocity transition and observation over (cx, cy, area, aspect)
 KF_F = np.eye(7)
@@ -133,10 +134,7 @@ class TrackConfig:
     sb_params: _sb.SbParams = field(default_factory=_sb.SbParams)
 
     def __post_init__(self):
-        for name in ("max_age", "anti_aging"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(self, "max_age", "anti_aging")
         if self.max_age < 0 or self.anti_aging < 0:
             raise ValueError("max_age and anti_aging must be non-negative")
         _assign._validate_weights(self.c_small, self.c_large)

@@ -586,31 +586,11 @@ class TestFloatRange:
         assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
 
 
-class CountingProduct:
-    """A coupling that counts its products with the state: one per step run."""
-
-    def __init__(self, coupling):
-        self.coupling, self.products = coupling, 0
-
-    def __matmul__(self, x):
-        self.products += 1
-        return self.coupling @ x
-
-
 def counted_solve(p, params):
-    """``solve_ising``'s spins and the number of steps it ran, counted by a
-    wrapped coupling handed to the product's entry (which takes ``__matmul__``)."""
-    made = []
-    choose = sb._product
-
-    def counting(coupling, x):
-        made.append(CountingProduct(coupling))
-        return choose(made[-1], x)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sb, "_product", counting)
-        spins = solve_ising(p, params)
-    return spins, made[0].products
+    """``solve_ising``'s spins and the number of steps it ran, counted by
+    wrapping the product entry it chose (:func:`entry_solve`)."""
+    spins, _, steps, _ = entry_solve(p, params)
+    return spins, steps
 
 
 def entry_solve(p, params):
@@ -618,10 +598,9 @@ def entry_solve(p, params):
     the name of the product entry it chose, with that entry left in place.
 
     The entries are ``assignment_product`` (an assignment coupling), ``dot``
-    (a C-ordered dense ``J``, one restart), ``dot_rows`` (a dense ``J``, several
-    restarts), and for any other coupling on one restart what ``J @ x`` calls,
-    ``__matmul__``. Every form must get one C-contiguous state: ``(n,)`` for
-    one restart, else ``(restarts, n)`` rows.
+    (a dense ``J``, one restart) and ``dot_rows`` (a dense ``J``, several
+    restarts). Every form must get one C-contiguous state: ``(n,)`` for one
+    restart, else ``(restarts, n)`` rows.
     """
     names, steps = [], []
     choose = sb._product
@@ -645,16 +624,12 @@ def entry_solve(p, params):
 
 
 def laid_out(p, layout):
-    """``p`` with its dense couplings in C order, in Fortran order, or as a strided
-    view, stored unchecked (the validating constructor would copy them to C
-    order). An assignment coupling has no layout and is returned as it is."""
+    """``p`` with its dense couplings in C order or in Fortran order, stored
+    unchecked (the validating constructor would copy them to C order). An
+    assignment coupling has no layout and is returned as it is."""
     if layout == "C" or type(p.j) is not np.ndarray:
         return p
-    if layout == "F":
-        return IsingProblem._from_symmetric(np.asfortranarray(p.j), p.h, p.offset)
-    spread = np.zeros((2 * p.n, 2 * p.n))
-    spread[::2, ::2] = p.j
-    return IsingProblem._from_symmetric(spread[::2, ::2], p.h, p.offset)
+    return IsingProblem._from_symmetric(np.asfortranarray(p.j), p.h, p.offset)
 
 
 class TestFrozenStop:
@@ -737,15 +712,14 @@ class TestFrozenStop:
 
 
 class TestProductEntries:
-    """``solve_ising`` calls the coupling product through its cheapest entry:
+    """``solve_ising`` calls the coupling product through one of three entries:
     the assignment coupling's own product into the solve's buffers; ``J.dot``
-    for a C-ordered dense ``J`` with one restart; one matrix-matrix product into
-    the solve's buffer for the rows of several restarts on a dense ``J``;
-    otherwise the public operator ``J @ x`` on one row."""
+    for a dense ``J`` with one restart; one matrix-matrix product into the
+    solve's buffer for the rows of several restarts on a dense ``J``."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
-        layout=st.sampled_from(["C", "F", "strided"]),
+        layout=st.sampled_from(["C", "F"]),
         frame=st.sampled_from([None, (19, 19), (19, 20), (20, 20)]),
         form=st.sampled_from(["assignment", "dense"]),
         n=st.integers(1, 40),
@@ -754,9 +728,7 @@ class TestProductEntries:
     )
     @example(layout="C", frame=None, form="dense", n=25, restarts=1, seed=0)
     @example(layout="F", frame=None, form="dense", n=25, restarts=1, seed=0)
-    @example(layout="strided", frame=None, form="dense", n=25, restarts=1, seed=0)
     @example(layout="F", frame=(19, 19), form="assignment", n=1, restarts=1, seed=0)
-    @example(layout="strided", frame=(19, 20), form="dense", n=1, restarts=1, seed=0)
     @example(layout="C", frame=(20, 20), form="dense", n=1, restarts=4, seed=0)
     @example(layout="C", frame=(19, 20), form="assignment", n=1, restarts=1, seed=0)
     @example(layout="C", frame=(20, 20), form="assignment", n=1, restarts=4, seed=0)
@@ -777,19 +749,10 @@ class TestProductEntries:
         want_spins, want_positions, want_steps = sb_step_loop(p, params)
         assert_same_run((spins, positions), (want_spins, want_positions))
         assert steps == want_steps
-        # with one restart, an unchecked Fortran-ordered or strided dense J
-        # takes the fallback (a 1 x 1 array is C-contiguous in every layout)
         if large and form == "assignment":
             assert entry == "assignment_product"
-        elif restarts > 1:
-            assert entry == "dot_rows"
         else:
-            assert entry == ("dot" if layout == "C" or p.n == 1 else "__matmul__")
-        if restarts == 1:
-            # a wrapped coupling (as the stop tests count with) takes the
-            # __matmul__ entry and still sees every product
-            counted_spins, counted_steps = counted_solve(p, params)
-            assert np.array_equal(counted_spins, spins) and counted_steps == steps
+            assert entry == ("dot_rows" if restarts > 1 else "dot")
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_dense_dot_is_matmul_bit_for_bit(self, layout):
@@ -798,7 +761,7 @@ class TestProductEntries:
         for _ in range(100):
             x = rng.uniform(-1.5, 1.5, p.n)
             product = sb._product(p.j, x)
-            assert product.__name__ == ("dot" if layout == "C" else "__matmul__")
+            assert product.__name__ == "dot"
             assert product(x).tobytes() == (p.j @ x).tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -955,16 +918,17 @@ class TestCouplingOracle:
         tiny=st.integers(0, 3),
         seed=st.integers(0, 2**16),
     )
-    # one in eight off-diagonal entries at n = 363 (8 * 16470 <= 363**2 < 8 * 16472),
-    # with and without entries that halve to zero: dense at every fill
+    # about one in eight off-diagonal entries nonzero at n = 363, with and
+    # without entries that halve to zero
     @example(n=363, offset=0, tiny=0, seed=0)
     @example(n=363, offset=1, tiny=0, seed=0)
     @example(n=363, offset=0, tiny=1, seed=0)
     @example(n=363, offset=1, tiny=3, seed=0)
     def test_random_symmetric_around_the_thresholds(self, n, offset, tiny, seed):
-        # around the size threshold of the assignment coupling, 2 * pairs
-        # entries that halve to nonzeros at a fill of about one in eight,
-        # 2 * tiny that halve to zero, and a diagonal, which the coupling drops
+        # around the size threshold of the assignment coupling, a QUBO without
+        # a grid is dense whatever its fill: 2 * pairs entries that halve to
+        # nonzeros (about one in eight), 2 * tiny that halve to zero, and a
+        # diagonal, which the coupling drops
         pairs = n * n // 16 + offset
         q = symmetric_with_nonzeros(n, pairs, seed, tiny)
         np.fill_diagonal(q, np.random.default_rng(seed).uniform(-1, 1, n))
@@ -1037,19 +1001,6 @@ class TestAssignmentCoupling:
         assert assignment_grid(p.j) == (n_t, n_d, c * -0.5)
         params = SbParams(seed=seed, restarts=restarts, n_steps=60)
         assert_same_run(fused_loop(p, params), per_restart_loop(p, params))
-
-    @pytest.mark.parametrize("n_t,n_d,k", [(3, 4, 2), (4, 3, 1), (1, 5, 3), (20, 21, 4)])
-    def test_matmul_on_a_matrix_multiplies_its_columns(self, n_t, n_d, k):
-        # NumPy's rule for a 2-D operand: coupling @ X holds coupling @ X[:, i]
-        # in column i, bit for bit, on positions with zeros and both walls
-        rng = np.random.default_rng(n_t * n_d + k)
-        coupling = ising._AssignmentCoupling(n_t, n_d, 1.0)
-        x = rng.uniform(-1.5, 1.5, (n_t * n_d, k))
-        x[rng.uniform(size=x.shape) < 0.3] = rng.choice((-1.0, 0.0, 1.0))
-        got = coupling @ x
-        assert got.shape == x.shape
-        for i in range(k):
-            assert got[:, i].tobytes() == (coupling @ x[:, i]).tobytes()
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(

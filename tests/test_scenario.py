@@ -370,6 +370,20 @@ class TestParseScenario:
         with pytest.raises(ValueError, match="frames"):
             parse_scenario(path)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("n_frames", 2.5, "n_frames must be an integer, got 2.5"),
+            ("n_frames", True, "n_frames must be an integer, got True"),
+            ("seed", 2.5, "seed must be an integer, got 2.5"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("seed", -1, "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_spec_takes_integer_frames_and_seed(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioSpec(objects=(), **{"n_frames": 5, name: value})
+
     def test_defaults_are_the_spec_defaults(self, tmp_path):
         path = tmp_path / "scene.txt"
         path.write_text("frames 5\nobject 100 100 40 40 5 0\n")
@@ -380,6 +394,7 @@ class TestParseScenario:
         "line",
         [
             "frames 0",
+            "seed -1",  # numpy's generator would reject it later, with no line
             "occlusion_iou 2",
             "jitter nan",
             "jitter 1e308",  # [-jitter, jitter] is longer than the largest float
